@@ -144,7 +144,7 @@ double CluseqClusterer::EstimateInitialLogThreshold() {
   if (options_.batched_scan) {
     // One interleaved pass per sample sequence scores it against every
     // other sample's model at once.
-    const FrozenBank sample_bank(frozen);
+    const FrozenBank sample_bank(frozen, options_.num_threads);
     ParallelForWeighted(sample_size, options_.num_threads, sample_cost,
                         [&](size_t i) {
       std::vector<SimilarityResult> row =
@@ -183,12 +183,18 @@ void CluseqClusterer::GenerateNewClusters(size_t count) {
   size_t sample_size = static_cast<size_t>(
       std::ceil(options_.sample_multiplier * static_cast<double>(count)));
   // Seeding scores samples against the existing clusters' snapshots, which
-  // also pre-warms them for this iteration's re-cluster scan.
+  // also pre-warms them for this iteration's re-cluster scan. With
+  // batched_scan they are scored through bank_: the seeds are appended
+  // after the existing slots, so Recluster's Assemble reuses every slot
+  // packed here in place.
   RefreshFrozen();
+  const std::vector<std::shared_ptr<const FrozenPst>> snapshots = Snapshots();
+  if (options_.batched_scan) bank_.Assemble(snapshots, options_.num_threads);
   std::vector<size_t> seeds =
-      SelectSeeds(db_, unclustered_, count, sample_size, Snapshots(),
+      SelectSeeds(db_, unclustered_, count, sample_size, snapshots,
                   background_, options_.pst, options_.num_threads, &rng_,
-                  options_.batched_scan, options_.prefilter);
+                  options_.batched_scan, options_.prefilter,
+                  options_.batched_scan ? &bank_ : nullptr);
   for (size_t seq_index : seeds) {
     clusters_.emplace_back(next_cluster_id_++, db_.alphabet().size(),
                            options_.pst);
@@ -367,7 +373,7 @@ void CluseqClusterer::Recluster() {
         // Pack every snapshot into the scoring arena (untouched models keep
         // their rows byte-identical) and run one interleaved scan per
         // sequence instead of kc serial automaton scans.
-        bank_.Assemble(snapshots);
+        bank_.Assemble(snapshots, options_.num_threads);
         if (prefilter_active_) {
           // Multi-level pruned scan against scan_target_ — log t while the
           // §4.6 adjuster is frozen or off, the censored floor
@@ -1137,7 +1143,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     // (one banked interleaved scan when batched_scan is on).
     RefreshFrozen();
     if (options_.batched_scan) {
-      bank_.Assemble(Snapshots());
+      bank_.Assemble(Snapshots(), options_.num_threads);
     } else {
       bank_ = FrozenBank();
       bank_.set_signature_budget_bytes(options_.signature_budget_bytes);

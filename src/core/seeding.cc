@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/prefilter.h"
@@ -10,6 +11,7 @@
 #include "obs/trace.h"
 #include "pst/frozen_bank.h"
 #include "pst/frozen_pst.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace cluseq {
@@ -19,7 +21,8 @@ std::vector<size_t> SelectSeeds(
     size_t num_seeds, size_t sample_size,
     const std::vector<std::shared_ptr<const FrozenPst>>& existing_models,
     const BackgroundModel& background, const PstOptions& pst_options,
-    size_t num_threads, Rng* rng, bool batched_scan, bool prefilter) {
+    size_t num_threads, Rng* rng, bool batched_scan, bool prefilter,
+    const FrozenBank* existing_bank) {
   std::vector<size_t> chosen;
   if (num_seeds == 0 || unclustered.empty()) return chosen;
   CLUSEQ_TRACE_SPAN("seeding.select_seeds");
@@ -60,7 +63,7 @@ std::vector<size_t> SelectSeeds(
       // serial automaton scans of the same symbols. Only the per-sample
       // maximum is consumed, so the prefilter's pruned argmax scan
       // (excluding the sample's own model) gives the same values.
-      const FrozenBank peer_bank(sample_psts);
+      const FrozenBank peer_bank(sample_psts, num_threads);
       if (prefilter) {
         const ScanPrefilter peer_prefilter(&peer_bank);
         ParallelForWeighted(sample_size, num_threads, sample_cost,
@@ -102,9 +105,17 @@ std::vector<size_t> SelectSeeds(
   std::vector<double> best_sim(sample_size, kNegInf);
   if (!existing_models.empty()) {
     if (batched_scan) {
-      const FrozenBank existing_bank(existing_models);
+      // The caller's bank already packs these models (the clusterer passes
+      // its own); otherwise pack them here. Only per-sample maxima are
+      // read, and BestModel's maximum is exact at any signature tier.
+      std::optional<FrozenBank> local_bank;
+      if (existing_bank == nullptr) {
+        existing_bank = &local_bank.emplace(existing_models, num_threads);
+      }
+      CLUSEQ_CHECK(existing_bank->num_models() == existing_models.size(),
+                   "SelectSeeds: existing_bank must hold existing_models");
       if (prefilter) {
-        const ScanPrefilter existing_prefilter(&existing_bank);
+        const ScanPrefilter existing_prefilter(existing_bank);
         ParallelForWeighted(sample_size, num_threads, sample_cost,
                             [&](size_t i) {
           existing_prefilter.BestModel(db.Symbols(sample_seq[i]),
@@ -113,7 +124,7 @@ std::vector<size_t> SelectSeeds(
       } else {
         ParallelForWeighted(sample_size, num_threads, sample_cost,
                             [&](size_t i) {
-          std::vector<SimilarityResult> row = existing_bank.ScanAll(
+          std::vector<SimilarityResult> row = existing_bank->ScanAll(
               db.Symbols(sample_seq[i]));
           for (const SimilarityResult& sim : row) {
             best_sim[i] = std::max(best_sim[i], sim.log_sim);

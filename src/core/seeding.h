@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "pst/frozen_bank.h"
 #include "pst/frozen_pst.h"
 #include "pst/pst.h"
 #include "seq/background_model.h"
@@ -40,16 +41,19 @@ namespace cluseq {
 /// sequence (identical values either way). `prefilter` (only with
 /// batched_scan) prunes those matrix scans with ScanPrefilter's admissible
 /// bounds — the seed selection only consumes per-sample maxima, which the
-/// prefilter reports exactly, so the chosen seeds are identical. Returns
-/// fewer than `num_seeds` indices only when there are not enough
-/// unclustered sequences.
+/// prefilter reports exactly, so the chosen seeds are identical.
+/// `existing_bank` (only with batched_scan), when non-null, must hold
+/// `existing_models` in order; the existing clusters are then scored
+/// through it instead of a bank packed here (the clusterer passes the bank
+/// its re-cluster scan reuses). Returns fewer than `num_seeds` indices only
+/// when there are not enough unclustered sequences.
 std::vector<size_t> SelectSeeds(
     const SequenceStore& db, const std::vector<size_t>& unclustered,
     size_t num_seeds, size_t sample_size,
     const std::vector<std::shared_ptr<const FrozenPst>>& existing_models,
     const BackgroundModel& background, const PstOptions& pst_options,
     size_t num_threads, Rng* rng, bool batched_scan = true,
-    bool prefilter = true);
+    bool prefilter = true, const FrozenBank* existing_bank = nullptr);
 
 }  // namespace cluseq
 

@@ -12,6 +12,7 @@
 #include "util/crc32c.h"
 #include "util/file_io.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace cluseq {
 
@@ -230,9 +231,11 @@ class BankSerializer {
   /// Validates `data` and installs it into `*bank`. With a non-null
   /// `storage` the entries section is served zero-copy from `data` (which
   /// `storage` must keep alive); otherwise the rows are copied into the
-  /// bank's own arena.
+  /// bank's own arena. Per-model checks and the signature rebuild run on
+  /// the pool, at most `num_threads` wide.
   static Status Load(const char* data, size_t size,
-                     std::shared_ptr<const void> storage, FrozenBank* bank) {
+                     std::shared_ptr<const void> storage, size_t num_threads,
+                     FrozenBank* bank) {
     // Framing first: nothing else is touched before the whole-file CRC
     // verifies, so every later read is over checksummed bytes.
     constexpr size_t kMinSize =
@@ -333,27 +336,36 @@ class BankSerializer {
 
     // Structural validation of every packed entry: after this, ScanAll's
     // unchecked gathers cannot leave the arena and the DP sees no NaN/+inf
-    // (-inf stays legal: smoothing-off zero-probability rows).
+    // (-inf stays legal: smoothing-off zero-probability rows). Models are
+    // checked concurrently, each recording its first bad entry; the lowest
+    // failing model is reported, so the error is the serial scan's.
     const char* entry_bytes = data + layout.entries_offset;
-    for (size_t m = 0; m < k; ++m) {
-      const uint64_t extent = static_cast<uint64_t>(states[m]) * alphabet;
-      const char* rows = entry_bytes + base[m] * sizeof(FrozenBank::Entry);
-      for (uint64_t e = 0; e < extent; ++e) {
-        double ratio;
-        uint32_t next, pad;
-        const char* at = rows + e * sizeof(FrozenBank::Entry);
-        std::memcpy(&ratio, at, sizeof(ratio));
-        std::memcpy(&next, at + 8, sizeof(next));
-        std::memcpy(&pad, at + 12, sizeof(pad));
-        if (pad != 0) return Corrupt("entry padding nonzero");
-        if (next % alphabet != 0 || next >= extent) {
-          return Corrupt("entry transition out of range");
-        }
-        if (std::isnan(ratio) ||
-            ratio == std::numeric_limits<double>::infinity()) {
-          return Corrupt("entry log-ratio is NaN or +inf");
-        }
-      }
+    std::vector<const char*> model_error(k, nullptr);
+    ParallelForWeighted(
+        k, num_threads, [&](size_t m) -> uint64_t { return states[m]; },
+        [&](size_t m) {
+          const uint64_t extent = static_cast<uint64_t>(states[m]) * alphabet;
+          const char* rows = entry_bytes + base[m] * sizeof(FrozenBank::Entry);
+          for (uint64_t e = 0; e < extent; ++e) {
+            double ratio;
+            uint32_t next, pad;
+            const char* at = rows + e * sizeof(FrozenBank::Entry);
+            std::memcpy(&ratio, at, sizeof(ratio));
+            std::memcpy(&next, at + 8, sizeof(next));
+            std::memcpy(&pad, at + 12, sizeof(pad));
+            if (pad != 0) {
+              model_error[m] = "entry padding nonzero";
+            } else if (next % alphabet != 0 || next >= extent) {
+              model_error[m] = "entry transition out of range";
+            } else if (std::isnan(ratio) ||
+                       ratio == std::numeric_limits<double>::infinity()) {
+              model_error[m] = "entry log-ratio is NaN or +inf";
+            }
+            if (model_error[m] != nullptr) return;
+          }
+        });
+    for (const char* error : model_error) {
+      if (error != nullptr) return Corrupt(error);
     }
 
     FrozenBank fresh;
@@ -377,7 +389,7 @@ class BankSerializer {
     }
     // The file carries only the packed rows; the prefilter's bound
     // signatures are derived, so rebuild them from the (validated) arena.
-    fresh.BuildAllSignatures();
+    fresh.BuildAllSignatures(num_threads);
     *bank = std::move(fresh);
     return Status::OK();
   }
@@ -395,9 +407,10 @@ Status SaveFrozenBankToFile(const FrozenBank& bank, const std::string& path) {
   return Status::OK();
 }
 
-Status LoadFrozenBank(std::string_view blob, FrozenBank* bank) {
-  return TrackCorruption(
-      BankSerializer::Load(blob.data(), blob.size(), nullptr, bank));
+Status LoadFrozenBank(std::string_view blob, FrozenBank* bank,
+                      size_t num_threads) {
+  return TrackCorruption(BankSerializer::Load(blob.data(), blob.size(),
+                                              nullptr, num_threads, bank));
 }
 
 Status LoadFrozenBankFromFile(const std::string& path, FrozenBank* bank,
@@ -412,7 +425,7 @@ Status LoadFrozenBankFromFile(const std::string& path, FrozenBank* bank,
   const size_t size = file->size();
   CLUSEQ_RETURN_NOT_OK(TrackCorruption(BankSerializer::Load(
       data, size, zero_copy ? std::shared_ptr<const void>(file) : nullptr,
-      bank)));
+      options.num_threads, bank)));
   RecordLoad(timer.ElapsedSeconds(), size);
   RecordLoadMode(bank->mapped());
   if (info != nullptr) {

@@ -60,6 +60,9 @@ struct FbankLoadOptions {
   /// the file is read buffered and the rows copied into the bank's own
   /// (hugepage-advised) arena.
   bool prefer_mmap = true;
+  /// Width of the per-model validation and signature rebuild on the global
+  /// pool (0 = auto-detect). The loaded bank is identical at any width.
+  size_t num_threads = 0;
 };
 
 struct FbankLoadInfo {
@@ -76,7 +79,9 @@ Status SaveFrozenBankToFile(const FrozenBank& bank, const std::string& path);
 
 /// Validates `blob` and installs it into `*bank` (rows copied into an
 /// owned arena). On any validation failure `*bank` is left untouched.
-Status LoadFrozenBank(std::string_view blob, FrozenBank* bank);
+/// `num_threads` as in FbankLoadOptions.
+Status LoadFrozenBank(std::string_view blob, FrozenBank* bank,
+                      size_t num_threads = 0);
 
 /// Validates the file and installs it into `*bank`, zero-copy when the
 /// mmap path is taken (see FbankLoadOptions).

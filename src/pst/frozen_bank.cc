@@ -13,6 +13,7 @@
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace cluseq {
 
@@ -364,7 +365,7 @@ bool FrozenBank::SimdAvailable() {
 }
 
 FrozenBank::AssembleStats FrozenBank::Assemble(
-    std::vector<std::shared_ptr<const FrozenPst>> models) {
+    std::vector<std::shared_ptr<const FrozenPst>> models, size_t num_threads) {
   AssembleStats stats;
   size_t alphabet = alphabet_size_;
   for (const auto& model : models) {
@@ -399,30 +400,18 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
   for (size_t m = 0; m < models.size(); ++m) {
     reuse[m] = alphabet == alphabet_size_ && m < models_.size() &&
                models_[m] == models[m] && base[m] == base_[m];
+    if (reuse[m]) {
+      ++stats.models_reused;
+    } else {
+      ++stats.models_written;
+    }
   }
   external_entries_ = nullptr;
   external_storage_.reset();
 
+  // The layout and the signature shapes are settled before any slot is
+  // written, so the per-slot tasks below only fill their own ranges.
   entries_.resize(total);
-  for (size_t m = 0; m < models.size(); ++m) {
-    if (reuse[m]) {
-      ++stats.models_reused;
-      continue;
-    }
-    ++stats.models_written;
-    const FrozenPst& model = *models[m];
-    const std::span<const double> src_ratio = model.log_ratio_table();
-    const std::span<const FrozenPst::State> src_next =
-        model.transition_table();
-    // Transitions are rebased from state ids to model-local row offsets so
-    // one entry both scores the symbol and names the next row.
-    Entry* dst = entries_.data() + base[m];
-    for (size_t e = 0; e < src_next.size(); ++e) {
-      dst[e] = Entry{src_ratio[e],
-                     src_next[e] * static_cast<uint32_t>(alphabet), 0};
-    }
-  }
-
   alphabet_size_ = alphabet;
   models_ = std::move(models);
   states_.resize(models_.size());
@@ -446,10 +435,34 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
   sig_rmax_.resize(models_.size());
   sig_maxsym_.resize(models_.size() * alphabet);
   sig_cap_q_.resize(models_.size() * signature_code_space());
+
+  std::vector<size_t> dirty;
   for (size_t m = 0; m < models_.size(); ++m) {
-    if (!reuse[m] || tier_changed) BuildSignature(m);
+    if (!reuse[m] || tier_changed) dirty.push_back(m);
   }
-  BuildTransposedSignatures();
+  // Packing and signature cost both scale with the model's state count.
+  ParallelForWeighted(
+      dirty.size(), num_threads,
+      [&](size_t i) -> uint64_t { return states_[dirty[i]]; },
+      [&](size_t i) {
+        const size_t m = dirty[i];
+        if (!reuse[m]) {
+          const FrozenPst& model = *models_[m];
+          const std::span<const double> src_ratio = model.log_ratio_table();
+          const std::span<const FrozenPst::State> src_next =
+              model.transition_table();
+          // Transitions are rebased from state ids to model-local row
+          // offsets so one entry both scores the symbol and names the next
+          // row.
+          Entry* dst = entries_.data() + base_[m];
+          for (size_t e = 0; e < src_next.size(); ++e) {
+            dst[e] = Entry{src_ratio[e],
+                           src_next[e] * static_cast<uint32_t>(alphabet), 0};
+          }
+        }
+        BuildSignature(m);
+      });
+  BuildTransposedSignatures(num_threads);
 
   static obs::Counter& assembles =
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.assembles");
@@ -619,17 +632,19 @@ void FrozenBank::BuildSignature(size_t m) {
   }
 }
 
-void FrozenBank::BuildAllSignatures() {
+void FrozenBank::BuildAllSignatures(size_t num_threads) {
   const size_t k = base_.size();
   sig_tier_ = SelectSignatureTier(k, alphabet_size_);
   sig_rmax_.resize(k);
   sig_maxsym_.resize(k * alphabet_size_);
   sig_cap_q_.resize(k * signature_code_space());
-  for (size_t m = 0; m < k; ++m) BuildSignature(m);
-  BuildTransposedSignatures();
+  ParallelForWeighted(
+      k, num_threads, [&](size_t m) -> uint64_t { return states_[m]; },
+      [&](size_t m) { BuildSignature(m); });
+  BuildTransposedSignatures(num_threads);
 }
 
-void FrozenBank::BuildTransposedSignatures() {
+void FrozenBank::BuildTransposedSignatures(size_t num_threads) {
   const size_t k = base_.size();
   const size_t a_size = alphabet_size_;
   const size_t cs = signature_code_space();
@@ -693,14 +708,25 @@ void FrozenBank::BuildTransposedSignatures() {
   // holds entrywise. Unlike the positive-clamped mirror this replaces,
   // the signed grid keeps the *negative* caps too — that is what lets
   // the dense Kadane sweep see windows break.
+  // Each task owns a contiguous code range, i.e. a disjoint slice of the
+  // code-major table; ranges are sized so a task quantizes ~64k caps and
+  // small banks stay on the calling thread.
   sig_capt_q_.resize(k * cs);
-  for (size_t m = 0; m < k; ++m) {
-    const int16_t* src = sig_cap_q_.data() + m * cs;
-    for (size_t code = 0; code < cs; ++code) {
-      sig_capt_q_[code * k + m] = quant_s8(
-          static_cast<double>(src[code]) * kSignatureQuantStep);
+  if (k == 0) return;
+  constexpr size_t kCapsPerTask = size_t{1} << 16;
+  const size_t codes_per_task = std::max<size_t>(1, kCapsPerTask / k);
+  const size_t tasks = (cs + codes_per_task - 1) / codes_per_task;
+  ParallelFor(tasks, num_threads, [&](size_t t) {
+    const size_t code_begin = t * codes_per_task;
+    const size_t code_end = std::min(cs, code_begin + codes_per_task);
+    for (size_t m = 0; m < k; ++m) {
+      const int16_t* src = sig_cap_q_.data() + m * cs;
+      for (size_t code = code_begin; code < code_end; ++code) {
+        sig_capt_q_[code * k + m] = quant_s8(
+            static_cast<double>(src[code]) * kSignatureQuantStep);
+      }
     }
-  }
+  });
 }
 
 size_t FrozenBank::BlockModels() const {

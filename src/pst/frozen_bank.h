@@ -87,8 +87,9 @@ class FrozenBank {
   /// Builds the arena from `models`. All snapshots must be non-empty and
   /// share one alphabet size (checked fatally). Snapshots are shared, not
   /// copied; they may be reused across banks, scorers and threads.
-  explicit FrozenBank(std::vector<std::shared_ptr<const FrozenPst>> models) {
-    Assemble(std::move(models));
+  explicit FrozenBank(std::vector<std::shared_ptr<const FrozenPst>> models,
+                      size_t num_threads = 0) {
+    Assemble(std::move(models), num_threads);
   }
 
   /// Re-targets the bank at `models`, rewriting only the slots whose
@@ -96,7 +97,13 @@ class FrozenBank {
   /// snapshot object at the same arena offset as before (appending models
   /// or swapping one dirty cluster leaves every other model's rows
   /// untouched). Returns how many models were written vs reused.
-  AssembleStats Assemble(std::vector<std::shared_ptr<const FrozenPst>> models);
+  ///
+  /// Rewritten slots are packed and their signatures built per model on
+  /// the global pool, at most `num_threads` wide (0 = auto-detect). Every
+  /// slot writes only its own arena range and signature slices, so the
+  /// bank is byte-identical at any thread count.
+  AssembleStats Assemble(std::vector<std::shared_ptr<const FrozenPst>> models,
+                         size_t num_threads = 0);
 
   size_t num_models() const { return base_.size(); }
   size_t alphabet_size() const { return alphabet_size_; }
@@ -388,16 +395,18 @@ class FrozenBank {
   SignatureTier SelectSignatureTier(size_t k, size_t alphabet) const;
   /// Recomputes model m's bound signature from its packed arena rows
   /// (works identically for assembled and mapped banks). The sig_ arrays
-  /// must already be sized for the current layout and tier.
+  /// must already be sized for the current layout and tier. Writes only
+  /// model m's slices, so distinct models may build concurrently.
   void BuildSignature(size_t m);
   /// Sizes the sig_ arrays for the current layout and rebuilds every model
-  /// (the .fbank load path, where nothing is reusable).
-  void BuildAllSignatures();
+  /// on the pool (the .fbank load path, where nothing is reusable).
+  void BuildAllSignatures(size_t num_threads);
   /// Rebuilds the u8 transposed tables from the per-model signatures.
   /// Must run after any signature refresh — the
   /// code-major layout interleaves all models, so slot reuse cannot keep
-  /// transposed columns in place.
-  void BuildTransposedSignatures();
+  /// transposed columns in place. The grid scale is a serial reduction;
+  /// the cap transpose runs on the pool over disjoint code ranges.
+  void BuildTransposedSignatures(size_t num_threads);
 
   size_t alphabet_size_ = 0;
   /// Source snapshots (assembled banks; empty for mapped banks).

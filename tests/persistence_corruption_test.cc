@@ -235,6 +235,46 @@ TEST(PersistenceCorruptionTest, FbankHostileMetaWithFixedCrcs) {
   }
 }
 
+TEST(PersistenceCorruptionTest, FbankLowestBadModelReportedAtAnyThreadCount) {
+  // Models are validated concurrently; with several bad models the error
+  // must still be the lowest model's, as a serial scan would report it.
+  const FrozenBank& bank = Fix().bank;
+  ASSERT_EQ(bank.num_models(), 2u);
+  const std::string& clean = Fix().fbank_blob;
+  const size_t entries = FbankSectionOffset(clean, 2);
+  const size_t entry_bytes = sizeof(FrozenBank::Entry);
+  const size_t model0_last =
+      entries + (bank.model_states(0) * bank.alphabet_size() - 1) *
+                    entry_bytes;
+  const size_t model1_first =
+      entries + bank.model_states(0) * bank.alphabet_size() * entry_bytes;
+  struct Case {
+    size_t nan_at;
+    size_t pad_at;
+    const char* want;
+  };
+  const Case cases[] = {
+      {model0_last, model1_first, "NaN"},
+      {model1_first, model0_last, "padding"},
+  };
+  for (const Case& c : cases) {
+    std::string blob = clean;
+    Poke<double>(&blob, c.nan_at, std::nan(""));
+    Poke<uint32_t>(&blob, c.pad_at + 12, 1);
+    FixupFbankCrcs(&blob);
+    std::string serial_error;
+    for (size_t threads : {1u, 2u, 7u}) {
+      FrozenBank loaded;
+      const Status st = LoadFrozenBank(blob, &loaded, threads);
+      ASSERT_TRUE(st.IsCorruption()) << threads << " threads";
+      EXPECT_NE(st.ToString().find(c.want), std::string::npos)
+          << st.ToString();
+      if (threads == 1) serial_error = st.ToString();
+      EXPECT_EQ(st.ToString(), serial_error) << threads << " threads";
+    }
+  }
+}
+
 TEST(PersistenceCorruptionTest, FbankHostileEntriesWithFixedCrcs) {
   const std::string& clean = Fix().fbank_blob;
   const size_t entries = FbankSectionOffset(clean, 2);

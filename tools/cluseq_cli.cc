@@ -485,7 +485,7 @@ int RunCluster(CommonFlags& flags) {
     }
     if (bankable) {
       // One mmap-able .fbank bundling every snapshot; classify prefers it.
-      FrozenBank bank(std::move(snapshots));
+      FrozenBank bank(std::move(snapshots), flags.options.num_threads);
       st = SaveFrozenBankToFile(bank, flags.model_dir + "/bank.fbank");
       if (!st.ok()) return Fail(st, "save bank");
       std::printf("bank -> %s/bank.fbank\n", flags.model_dir.c_str());
@@ -526,7 +526,10 @@ int RunClassify(const CommonFlags& flags) {
   const std::string bank_path = flags.model_dir + "/bank.fbank";
   if (flags.options.batched_scan && FileExists(bank_path)) {
     FbankLoadInfo info;
-    Status load = LoadFrozenBankFromFile(bank_path, &bank, {}, &info);
+    FbankLoadOptions load_options;
+    load_options.num_threads = flags.options.num_threads;
+    Status load =
+        LoadFrozenBankFromFile(bank_path, &bank, load_options, &info);
     if (load.ok()) {
       use_bank = true;
       std::printf("loaded %zu models from %s (%s)\n", bank.num_models(),
@@ -597,7 +600,7 @@ int RunClassify(const CommonFlags& flags) {
       bankable = bankable && !m->empty() &&
                  m->alphabet_size() == models.front()->alphabet_size();
     }
-    if (bankable) bank.Assemble(models);
+    if (bankable) bank.Assemble(models, flags.options.num_threads);
   }
 
   const size_t num_models = use_bank ? bank.num_models() : models.size();
@@ -771,7 +774,7 @@ void PrintUsage() {
                "           --sig_budget_mb: per-bank byte budget picking "
                "the prefilter\n"
                "           signature tier (trigram/bigram/unigram, default "
-               "64; perf-only)\n"
+               "32; perf-only)\n"
                "           --prefilter_l15: symbols covered by the "
                "level-1.5 truncated-\n"
                "           prefix bound (default 96, 0 disables; "
