@@ -34,9 +34,9 @@
 // .sqdb data CRC for on-disk stores). Resume against a different corpus or
 // different algorithmic options fails with FailedPrecondition instead of
 // silently producing garbage. Pure performance switches (num_threads,
-// batched_scan, prefilter, verbose) are deliberately NOT fingerprinted:
-// results are bit-for-bit identical across them, so a run may resume at a
-// different thread count.
+// prefilter, verbose) are deliberately NOT fingerprinted: results are
+// bit-for-bit identical across them, so a run may resume at a different
+// thread count.
 
 #ifndef CLUSEQ_CORE_CHECKPOINT_H_
 #define CLUSEQ_CORE_CHECKPOINT_H_

@@ -141,29 +141,18 @@ double CluseqClusterer::EstimateInitialLogThreshold() {
   const auto sample_cost = [&](size_t i) -> uint64_t {
     return db_.Length(sample[i]);
   };
-  if (options_.batched_scan) {
-    // One interleaved pass per sample sequence scores it against every
-    // other sample's model at once.
-    const FrozenBank sample_bank(frozen, options_.num_threads);
-    ParallelForWeighted(sample_size, options_.num_threads, sample_cost,
-                        [&](size_t i) {
-      std::vector<SimilarityResult> row =
-          sample_bank.ScanAll(db_.Symbols(sample[i]));
-      for (size_t j = 0; j < sample_size; ++j) {
-        if (i == j) continue;
-        pairwise[i * sample_size + j] = row[j].log_sim;
-      }
-    });
-  } else {
-    ParallelForWeighted(sample_size, options_.num_threads, sample_cost,
-                        [&](size_t i) {
-      for (size_t j = 0; j < sample_size; ++j) {
-        if (i == j) continue;
-        pairwise[i * sample_size + j] =
-            ComputeSimilarity(*frozen[j], db_.Symbols(sample[i])).log_sim;
-      }
-    });
-  }
+  // One interleaved pass per sample sequence scores it against every
+  // other sample's model at once.
+  const FrozenBank sample_bank(frozen, options_.num_threads);
+  ParallelForWeighted(sample_size, options_.num_threads, sample_cost,
+                      [&](size_t i) {
+    std::vector<SimilarityResult> row =
+        sample_bank.ScanAll(db_.Symbols(sample[i]));
+    for (size_t j = 0; j < sample_size; ++j) {
+      if (i == j) continue;
+      pairwise[i * sample_size + j] = row[j].log_sim;
+    }
+  });
   std::vector<double> sims;
   sims.reserve(sample_size * (sample_size - 1));
   for (double s : pairwise) {
@@ -183,18 +172,16 @@ void CluseqClusterer::GenerateNewClusters(size_t count) {
   size_t sample_size = static_cast<size_t>(
       std::ceil(options_.sample_multiplier * static_cast<double>(count)));
   // Seeding scores samples against the existing clusters' snapshots, which
-  // also pre-warms them for this iteration's re-cluster scan. With
-  // batched_scan they are scored through bank_: the seeds are appended
-  // after the existing slots, so Recluster's Assemble reuses every slot
-  // packed here in place.
+  // also pre-warms them for this iteration's re-cluster scan. They are
+  // scored through bank_: the seeds are appended after the existing slots,
+  // so Recluster's Assemble reuses every slot packed here in place.
   RefreshFrozen();
   const std::vector<std::shared_ptr<const FrozenPst>> snapshots = Snapshots();
-  if (options_.batched_scan) bank_.Assemble(snapshots, options_.num_threads);
+  bank_.Assemble(snapshots, options_.num_threads);
   std::vector<size_t> seeds =
       SelectSeeds(db_, unclustered_, count, sample_size, snapshots,
                   background_, options_.pst, options_.num_threads, &rng_,
-                  options_.batched_scan, options_.prefilter,
-                  options_.batched_scan ? &bank_ : nullptr);
+                  options_.prefilter, &bank_);
   for (size_t seq_index : seeds) {
     clusters_.emplace_back(next_cluster_id_++, db_.alphabet().size(),
                            options_.pst);
@@ -362,70 +349,52 @@ void CluseqClusterer::Recluster() {
       const uint64_t scan_symbols_before = scan_symbols_counter.Value();
       Stopwatch scan_timer;
       RefreshFrozen();  // Only dirty clusters are recompiled.
-      const std::vector<std::shared_ptr<const FrozenPst>> snapshots =
-          Snapshots();
+      // Pack every snapshot into the scoring arena (untouched models keep
+      // their rows byte-identical) and run one interleaved scan per
+      // sequence instead of kc serial automaton scans.
+      bank_.Assemble(Snapshots(), options_.num_threads);
+      // Multi-level pruned scan against scan_target_ — log t while the
+      // §4.6 adjuster is frozen or off, the censored floor
+      // log t − adjust_bound_window while it is live. Joins and the
+      // per-sequence max are exact (see ScanPrefilter); pruned slots hold
+      // admissible bounds < the target, and everything at or above the
+      // target is exact, which is all the join pass and the floor-censored
+      // adjuster histogram ever look at. With the prefilter off this is the
+      // exhaustive scan and every slot is exact.
+      CLUSEQ_TRACE_SPAN("cluseq.prefilter_scan");
+      const ScanPrefilter prefilter(&bank_, options_.prefilter_prefix,
+                                    prefilter_active_);
+      std::atomic<uint64_t> skipped{0};
+      std::atomic<uint64_t> early_exits{0};
+      std::atomic<uint64_t> l15_pruned{0};
+      std::atomic<uint64_t> checkpoints{0};
       // Scan cost is linear in sequence length; weighted chunking keeps a
       // length-skewed database from parking workers behind one straggler.
-      const auto scan_cost = [this](size_t s) -> uint64_t {
-        return db_.Length(s);
-      };
-      if (options_.batched_scan) {
-        // Pack every snapshot into the scoring arena (untouched models keep
-        // their rows byte-identical) and run one interleaved scan per
-        // sequence instead of kc serial automaton scans.
-        bank_.Assemble(snapshots, options_.num_threads);
-        if (prefilter_active_) {
-          // Multi-level pruned scan against scan_target_ — log t while the
-          // §4.6 adjuster is frozen or off, the censored floor
-          // log t − adjust_bound_window while it is live. Joins and the
-          // per-sequence max are exact (see ScanPrefilter); pruned slots
-          // hold admissible bounds < the target, and everything at or
-          // above the target is exact, which is all the join pass and the
-          // floor-censored adjuster histogram ever look at.
-          CLUSEQ_TRACE_SPAN("cluseq.prefilter_scan");
-          ScanPrefilter prefilter(&bank_, options_.prefilter_prefix);
-          std::atomic<uint64_t> skipped{0};
-          std::atomic<uint64_t> early_exits{0};
-          std::atomic<uint64_t> l15_pruned{0};
-          std::atomic<uint64_t> checkpoints{0};
-          ParallelForWeighted(
-              n, options_.num_threads, scan_cost, [&](size_t s) {
-                PrefilterScanStats scan_stats;
-                prefilter.ScanAllWithThreshold(db_.Symbols(s), scan_target_,
-                                               sims.data() + s * kc,
-                                               &scan_stats);
-                skipped.fetch_add(scan_stats.candidates_skipped,
+      ParallelForWeighted(
+          n, options_.num_threads,
+          [this](size_t s) -> uint64_t { return db_.Length(s); },
+          [&](size_t s) {
+            PrefilterScanStats scan_stats;
+            prefilter.ScanAllWithThreshold(db_.Symbols(s), scan_target_,
+                                           sims.data() + s * kc, &scan_stats);
+            skipped.fetch_add(scan_stats.candidates_skipped,
+                              std::memory_order_relaxed);
+            early_exits.fetch_add(scan_stats.dp_early_exits,
                                   std::memory_order_relaxed);
-                early_exits.fetch_add(scan_stats.dp_early_exits,
-                                      std::memory_order_relaxed);
-                l15_pruned.fetch_add(scan_stats.l15_pruned,
-                                     std::memory_order_relaxed);
-                checkpoints.fetch_add(scan_stats.checkpoints,
-                                      std::memory_order_relaxed);
-              });
-          prefilter_pairs_this_iter_ += n * kc;
-          prefilter_skipped_this_iter_ +=
-              static_cast<size_t>(skipped.load(std::memory_order_relaxed));
-          prefilter_early_exits_this_iter_ += static_cast<size_t>(
-              early_exits.load(std::memory_order_relaxed));
-          prefilter_l15_this_iter_ += static_cast<size_t>(
-              l15_pruned.load(std::memory_order_relaxed));
-          prefilter_checkpoints_this_iter_ += static_cast<size_t>(
-              checkpoints.load(std::memory_order_relaxed));
-        } else {
-          ParallelForWeighted(
-              n, options_.num_threads, scan_cost, [&](size_t s) {
-                bank_.ScanAll(db_.Symbols(s), sims.data() + s * kc);
-              });
-        }
-      } else {
-        ParallelForWeighted(n, options_.num_threads, scan_cost, [&](size_t s) {
-          const std::span<const SymbolId> symbols = db_.Symbols(s);
-          for (size_t ci = 0; ci < kc; ++ci) {
-            sims[s * kc + ci] = ComputeSimilarity(*snapshots[ci], symbols);
-          }
-        });
-      }
+            l15_pruned.fetch_add(scan_stats.l15_pruned,
+                                 std::memory_order_relaxed);
+            checkpoints.fetch_add(scan_stats.checkpoints,
+                                  std::memory_order_relaxed);
+          });
+      prefilter_pairs_this_iter_ += n * kc;
+      prefilter_skipped_this_iter_ +=
+          static_cast<size_t>(skipped.load(std::memory_order_relaxed));
+      prefilter_early_exits_this_iter_ +=
+          static_cast<size_t>(early_exits.load(std::memory_order_relaxed));
+      prefilter_l15_this_iter_ +=
+          static_cast<size_t>(l15_pruned.load(std::memory_order_relaxed));
+      prefilter_checkpoints_this_iter_ +=
+          static_cast<size_t>(checkpoints.load(std::memory_order_relaxed));
       const double scan_elapsed = scan_timer.ElapsedSeconds();
       scan_seconds_this_iter_ += scan_elapsed;
       const uint64_t scanned =
@@ -734,13 +703,12 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   const CancellationToken* cancel = options_.cancellation;
   const bool checkpointing =
       !options_.checkpoint_dir.empty() && options_.checkpoint_every > 0;
-  // Fixed per run: the prefilter needs the batched arena and deferred
-  // joins; a live threshold adjuster no longer disables it — while the
-  // adjuster moves t, the scan targets the censored floor
-  // log t − adjust_bound_window and the adjuster histograms only scores at
-  // or above that floor, which the prefilter keeps exact.
-  prefilter_active_ = options_.prefilter && options_.batched_scan &&
-                      !options_.within_scan_updates;
+  // Fixed per run: the prefilter needs the deferred joins; a live
+  // threshold adjuster does not disable it — while the adjuster moves t,
+  // the scan targets the censored floor log t − adjust_bound_window and the
+  // adjuster histograms only scores at or above that floor, which the
+  // prefilter keeps exact.
+  prefilter_active_ = options_.prefilter && !options_.within_scan_updates;
   run_prefilter_pairs_ = 0;
   run_prefilter_skipped_ = 0;
   run_prefilter_early_exits_ = 0;
@@ -1139,15 +1107,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
       result->best_cluster = prev_best_cluster_;
       result->best_log_sim = best_log_sim_;
     }
-    // Snapshot the final summaries so Classify() runs on compiled automata
-    // (one banked interleaved scan when batched_scan is on).
+    // Snapshot the final summaries so Classify() is one banked scan.
     RefreshFrozen();
-    if (options_.batched_scan) {
-      bank_.Assemble(Snapshots(), options_.num_threads);
-    } else {
-      bank_ = FrozenBank();
-      bank_.set_signature_budget_bytes(options_.signature_budget_bytes);
-    }
+    bank_.Assemble(Snapshots(), options_.num_threads);
   }
 
   report_->num_clusters = result->num_clusters();
@@ -1184,39 +1146,14 @@ int32_t CluseqClusterer::Classify(std::span<const SymbolId> symbols,
                                   double* log_sim) const {
   double best = kNegInf;
   int32_t best_pos = -1;
-  const size_t kc = clusters_.size();
-  if (kc > 0 && options_.batched_scan && bank_.num_models() == kc) {
-    if (options_.prefilter) {
-      // Argmax-mode pruned scan: exact best value and the same
-      // smallest-index tie-break as the exhaustive loop below.
-      ScanPrefilter prefilter(&bank_, options_.prefilter_prefix);
-      best_pos = prefilter.BestModel(symbols, &best);
-      if (log_sim != nullptr) *log_sim = best;
-      if (best_pos >= 0 && best < log_t_) best_pos = -1;
-      return best_pos;
-    }
-    const std::vector<SimilarityResult> sims =
-        bank_.ScanAll(symbols);
-    for (size_t ci = 0; ci < kc; ++ci) {
-      if (sims[ci].log_sim > best) {
-        best = sims[ci].log_sim;
-        best_pos = static_cast<int32_t>(ci);
-      }
-    }
-    if (log_sim != nullptr) *log_sim = best;
-    if (best_pos >= 0 && best < log_t_) best_pos = -1;
-    return best_pos;
-  }
-  for (size_t ci = 0; ci < kc; ++ci) {
-    double s =
-        clusters_[ci].frozen_fresh()
-            ? ComputeSimilarity(*clusters_[ci].frozen(), symbols).log_sim
-            : ComputeSimilarity(clusters_[ci].pst(), background_, symbols)
-                  .log_sim;
-    if (s > best) {
-      best = s;
-      best_pos = static_cast<int32_t>(ci);
-    }
+  // The bank holds exactly the final summaries after a completed Run();
+  // before one, or after an interrupted one (torn live trees), it does not,
+  // and nothing is served.
+  if (bank_.num_models() == clusters_.size()) {
+    // Argmax scan: exact best value, smallest-index tie-break.
+    const ScanPrefilter prefilter(&bank_, options_.prefilter_prefix,
+                                  options_.prefilter);
+    best_pos = prefilter.BestModel(symbols, &best);
   }
   if (log_sim != nullptr) *log_sim = best;
   if (best_pos >= 0 && best < log_t_) best_pos = -1;

@@ -89,26 +89,17 @@ struct CluseqOptions {
   /// sequences rather than across clusters.
   bool within_scan_updates = false;
 
-  /// Score each sequence against *all* cluster snapshots in one interleaved
-  /// pass over its symbols (FrozenBank::ScanAll) instead of k serial
-  /// automaton scans. Applies to the batch re-cluster scan, threshold
-  /// estimation, seeding, and Classify(); results are bit-for-bit identical
-  /// either way, so this is purely a performance switch (kept as an option
-  /// for benchmarking and as a fallback). Ignored by the §4.2
-  /// within-scan-updates mode, which must score against live trees.
-  bool batched_scan = true;
-
   /// Multi-level candidate pruning in front of the banked scan
   /// (ScanPrefilter, DESIGN.md §14): admissible block/signature/prefix-DP
   /// upper bounds skip clusters that provably cannot reach the threshold,
   /// and survivors run an early-abandoning DP. Outputs are bit-for-bit
   /// identical with the prefilter on or off — every skip is justified by
-  /// an admissible bound — so, like batched_scan, this is purely a
-  /// performance switch (the off path doubles as the correctness oracle).
-  /// Requires batched_scan; inactive in within-scan-updates mode. While
-  /// the §4.6 threshold adjuster is live, the scan prunes against the
-  /// censored floor log t − adjust_bound_window instead of log t, so the
-  /// adjuster's histogram sees exact scores (see adjust_bound_window).
+  /// an admissible bound — so this is purely a performance switch (the off
+  /// path is the correctness oracle). Inactive in the within-scan-updates
+  /// re-cluster scan, which scores live trees. While the §4.6 threshold
+  /// adjuster is live, the scan prunes against the censored floor
+  /// log t − adjust_bound_window instead of log t, so the adjuster's
+  /// histogram sees exact scores (see adjust_bound_window).
   bool prefilter = true;
 
   /// Width W of the §4.6 histogram window when the prefilter runs during
@@ -311,8 +302,10 @@ class CluseqClusterer {
 
   /// Classifies a new sequence: returns the index of the most similar final
   /// cluster and its log similarity, or -1 when below the final threshold.
-  /// Scores against the frozen snapshots cached by Run(), so repeated calls
-  /// pay no tree-walk cost.
+  /// Scores against the bank of frozen snapshots cached by a completed
+  /// Run(), so repeated calls pay no tree-walk cost. Before a Run(), or
+  /// after an interrupted one, there is no model to serve: returns -1 and
+  /// writes -inf.
   int32_t Classify(std::span<const SymbolId> symbols,
                    double* log_sim = nullptr) const;
   int32_t Classify(const Sequence& seq, double* log_sim = nullptr) const {
@@ -367,8 +360,8 @@ class CluseqClusterer {
   size_t refrozen_this_iter_ = 0;
   double scan_seconds_this_iter_ = 0.0;
   double join_seconds_this_iter_ = 0.0;
-  // Whether the prefilter may prune scans (fixed per run: prefilter ∧
-  // batched_scan ∧ ¬within_scan_updates).
+  // Whether the prefilter may prune re-cluster scans (fixed per run:
+  // prefilter ∧ ¬within_scan_updates).
   bool prefilter_active_ = false;
   // The scan's pruning target for the current iteration: log_t_ once the
   // adjuster is frozen (or disabled), log_t_ − adjust_bound_window while

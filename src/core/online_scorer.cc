@@ -90,43 +90,22 @@ void OnlineScorer::BatchClassify(const SequenceStore& store,
       obs::MetricsRegistry::Get().GetCounter("online_scorer.batch_records");
   batch_records.Add(n);
   num_threads = ResolveThreads(num_threads);
-  const size_t k = models_.size();
   // Scan cost is linear in record length; weighted chunking keeps one long
   // record from parking the other workers.
-  if (prefilter) {
-    const ScanPrefilter bank_prefilter(&bank_);
-    ParallelForWeighted(
-        n, num_threads,
-        [&store](size_t i) -> uint64_t { return store.Length(i); },
-        [&](size_t i) {
-          Score best;
-          best.model = bank_prefilter.BestModel(store.Symbols(i),
-                                                &best.log_sim);
-          if (best.model < 0) {
-            // Every model scored -inf; the exhaustive loop below still
-            // reports model 0 (its seed), with that -inf score.
-            best.model = 0;
-            best.log_sim = -std::numeric_limits<double>::infinity();
-          }
-          best.current_log_sim = best.log_sim;
-          (*out)[i] = best;
-        });
-    return;
-  }
+  const ScanPrefilter bank_prefilter(&bank_, ScanPrefilter::kDefaultL15Prefix,
+                                     prefilter);
   ParallelForWeighted(
       n, num_threads,
       [&store](size_t i) -> uint64_t { return store.Length(i); },
       [&](size_t i) {
-        const std::vector<SimilarityResult> sims =
-            bank_.ScanAll(store.Symbols(i));
         Score best;
-        for (size_t m = 0; m < k; ++m) {
-          if (best.model < 0 || sims[m].log_sim > best.log_sim) {
-            best.log_sim = sims[m].log_sim;
-            best.current_log_sim = sims[m].log_sim;
-            best.model = static_cast<int32_t>(m);
-          }
+        best.model = bank_prefilter.BestModel(store.Symbols(i), &best.log_sim);
+        if (best.model < 0) {
+          // Every model scored -inf: report model 0 with that -inf score.
+          best.model = 0;
+          best.log_sim = -std::numeric_limits<double>::infinity();
         }
+        best.current_log_sim = best.log_sim;
         (*out)[i] = best;
       });
 }

@@ -302,11 +302,12 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
     if (stats) *stats = local;
     return;
   }
-  if (symbols.empty() || !(log_t > 0.0) || symbols.size() >= kMaxBoundedLen) {
-    // Empty sequences score -inf everywhere, a nonpositive threshold can
-    // never beat a bound (all bounds are ≥ 0), and pathological lengths
-    // could overflow the int32 Kadane sums: exhaustive is exact and the
-    // right call in all three cases.
+  if (!prune_ || symbols.empty() || !(log_t > 0.0) ||
+      symbols.size() >= kMaxBoundedLen) {
+    // The oracle mode, empty sequences (they score -inf everywhere), a
+    // nonpositive threshold (it can never beat a bound — all bounds are
+    // ≥ 0), and pathological lengths (they could overflow the int32
+    // Kadane sums): exhaustive is exact and the right call in all four.
     bank_->ScanAll(symbols, results);
     if (stats) *stats = local;
     return;
@@ -522,10 +523,10 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
     if (stats) *stats = local;
     return best_pos;
   }
-  if (symbols.size() >= kMaxBoundedLen) {
-    // Pathological lengths could overflow the int32 Kadane sums: fall
-    // back to the exhaustive scan plus the same first-strict-max argmax
-    // loop the unfiltered path uses.
+  if (!prune_ || symbols.size() >= kMaxBoundedLen) {
+    // The oracle mode, and pathological lengths (they could overflow the
+    // int32 Kadane sums): the exhaustive scan plus the first-strict-max
+    // argmax loop.
     Workspace& ws = GetWorkspace();
     ws.tmp.resize(k);
     bank_->ScanAll(symbols, ws.tmp.data());

@@ -66,6 +66,13 @@
 //     and ties resolve to the smallest model index exactly as the
 //     exhaustive first-strict-max loop does.
 //
+// Pruning off (the `prefilter` constructor argument, the caller's
+// CluseqOptions::prefilter): both calls run the bank's exhaustive kernel —
+// ScanAllWithThreshold is FrozenBank::ScanAll, BestModel is ScanAll plus
+// the first-strict-max loop — and none of the bound code runs. That mode
+// is the exactness oracle every pruned result is checked against, and it
+// lets every consumer score through this one class whatever the setting.
+//
 // Thread-safe: all mutable state lives in a per-thread workspace (reused
 // across calls — no per-sequence allocation on the steady-state path), so
 // one ScanPrefilter may be shared by every pool worker.
@@ -114,9 +121,12 @@ class ScanPrefilter {
   static constexpr size_t kDefaultL15Prefix = 96;
 
   ScanPrefilter() = default;
+  /// `prefilter` false turns pruning off: every call is the exhaustive
+  /// oracle scan (see the header comment).
   explicit ScanPrefilter(const FrozenBank* bank,
-                         size_t l15_prefix = kDefaultL15Prefix)
-      : l15_prefix_(l15_prefix) {
+                         size_t l15_prefix = kDefaultL15Prefix,
+                         bool prefilter = true)
+      : l15_prefix_(l15_prefix), prune_(prefilter) {
     Bind(bank);
   }
 
@@ -140,7 +150,8 @@ class ScanPrefilter {
   ///     the exact score, with zeroed segment bounds.
   /// Any log_t is accepted; a nonpositive one can never prune (every
   /// bound is ≥ 0 by construction), so those calls delegate to the
-  /// exhaustive scan and return fully exact results.
+  /// exhaustive scan and return fully exact results, as do all calls with
+  /// pruning off.
   void ScanAllWithThreshold(std::span<const SymbolId> symbols, double log_t,
                             SimilarityResult* results,
                             PrefilterScanStats* stats = nullptr) const;
@@ -163,6 +174,7 @@ class ScanPrefilter {
  private:
   const FrozenBank* bank_ = nullptr;
   size_t l15_prefix_ = kDefaultL15Prefix;
+  bool prune_ = true;
 };
 
 }  // namespace cluseq

@@ -21,7 +21,7 @@ std::vector<size_t> SelectSeeds(
     size_t num_seeds, size_t sample_size,
     const std::vector<std::shared_ptr<const FrozenPst>>& existing_models,
     const BackgroundModel& background, const PstOptions& pst_options,
-    size_t num_threads, Rng* rng, bool batched_scan, bool prefilter,
+    size_t num_threads, Rng* rng, bool prefilter,
     const FrozenBank* existing_bank) {
   std::vector<size_t> chosen;
   if (num_seeds == 0 || unclustered.empty()) return chosen;
@@ -57,42 +57,18 @@ std::vector<size_t> SelectSeeds(
     return db.Length(sample_seq[i]);
   };
   if (sample_size > 2) {
-    if (batched_scan) {
-      // The full peer matrix needs each sample scored against every other
-      // sample's model: one banked scan per sample replaces sample_size - 1
-      // serial automaton scans of the same symbols. Only the per-sample
-      // maximum is consumed, so the prefilter's pruned argmax scan
-      // (excluding the sample's own model) gives the same values.
-      const FrozenBank peer_bank(sample_psts, num_threads);
-      if (prefilter) {
-        const ScanPrefilter peer_prefilter(&peer_bank);
-        ParallelForWeighted(sample_size, num_threads, sample_cost,
-                            [&](size_t i) {
-          peer_prefilter.BestModel(db.Symbols(sample_seq[i]), &peer_best[i],
-                                   /*stats=*/nullptr, /*exclude_model=*/i);
-        });
-      } else {
-        ParallelForWeighted(sample_size, num_threads, sample_cost,
-                            [&](size_t i) {
-          std::vector<SimilarityResult> row = peer_bank.ScanAll(
-              db.Symbols(sample_seq[i]));
-          for (size_t j = 0; j < sample_size; ++j) {
-            if (j == i) continue;
-            peer_best[i] = std::max(peer_best[i], row[j].log_sim);
-          }
-        });
-      }
-    } else {
-      ParallelForWeighted(sample_size, num_threads, sample_cost,
-                          [&](size_t i) {
-        for (size_t j = 0; j < sample_size; ++j) {
-          if (j == i) continue;
-          double s =
-              ComputeSimilarity(*sample_psts[j], db.Symbols(sample_seq[i])).log_sim;
-          peer_best[i] = std::max(peer_best[i], s);
-        }
-      });
-    }
+    // The full peer matrix needs each sample scored against every other
+    // sample's model: one banked scan per sample replaces sample_size - 1
+    // serial automaton scans of the same symbols. Only the per-sample
+    // maximum is consumed, which the argmax scan (excluding the sample's
+    // own model) reports exactly.
+    const FrozenBank peer_bank(sample_psts, num_threads);
+    const ScanPrefilter peer_prefilter(
+        &peer_bank, ScanPrefilter::kDefaultL15Prefix, prefilter);
+    ParallelForWeighted(sample_size, num_threads, sample_cost, [&](size_t i) {
+      peer_prefilter.BestModel(db.Symbols(sample_seq[i]), &peer_best[i],
+                               /*stats=*/nullptr, /*exclude_model=*/i);
+    });
   }
   std::vector<double> sorted_peer = peer_best;
   std::sort(sorted_peer.begin(), sorted_peer.end());
@@ -104,42 +80,20 @@ std::vector<size_t> SelectSeeds(
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> best_sim(sample_size, kNegInf);
   if (!existing_models.empty()) {
-    if (batched_scan) {
-      // The caller's bank already packs these models (the clusterer passes
-      // its own); otherwise pack them here. Only per-sample maxima are
-      // read, and BestModel's maximum is exact at any signature tier.
-      std::optional<FrozenBank> local_bank;
-      if (existing_bank == nullptr) {
-        existing_bank = &local_bank.emplace(existing_models, num_threads);
-      }
-      CLUSEQ_CHECK(existing_bank->num_models() == existing_models.size(),
-                   "SelectSeeds: existing_bank must hold existing_models");
-      if (prefilter) {
-        const ScanPrefilter existing_prefilter(existing_bank);
-        ParallelForWeighted(sample_size, num_threads, sample_cost,
-                            [&](size_t i) {
-          existing_prefilter.BestModel(db.Symbols(sample_seq[i]),
-                                       &best_sim[i]);
-        });
-      } else {
-        ParallelForWeighted(sample_size, num_threads, sample_cost,
-                            [&](size_t i) {
-          std::vector<SimilarityResult> row = existing_bank->ScanAll(
-              db.Symbols(sample_seq[i]));
-          for (const SimilarityResult& sim : row) {
-            best_sim[i] = std::max(best_sim[i], sim.log_sim);
-          }
-        });
-      }
-    } else {
-      ParallelForWeighted(sample_size, num_threads, sample_cost,
-                          [&](size_t i) {
-        for (const auto& cluster : existing_models) {
-          double s = ComputeSimilarity(*cluster, db.Symbols(sample_seq[i])).log_sim;
-          best_sim[i] = std::max(best_sim[i], s);
-        }
-      });
+    // The caller's bank already packs these models (the clusterer passes
+    // its own); otherwise pack them here. Only per-sample maxima are read,
+    // and BestModel's maximum is exact at any signature tier.
+    std::optional<FrozenBank> local_bank;
+    if (existing_bank == nullptr) {
+      existing_bank = &local_bank.emplace(existing_models, num_threads);
     }
+    CLUSEQ_CHECK(existing_bank->num_models() == existing_models.size(),
+                 "SelectSeeds: existing_bank must hold existing_models");
+    const ScanPrefilter existing_prefilter(
+        existing_bank, ScanPrefilter::kDefaultL15Prefix, prefilter);
+    ParallelForWeighted(sample_size, num_threads, sample_cost, [&](size_t i) {
+      existing_prefilter.BestModel(db.Symbols(sample_seq[i]), &best_sim[i]);
+    });
   }
 
   std::vector<bool> taken(sample_size, false);

@@ -36,24 +36,23 @@ namespace cluseq {
 /// seed new clusters. `sample_size` is the paper's m; it is clamped to the
 /// number of unclustered sequences. `existing_models` are the compiled
 /// snapshots of the clusters already in T. `num_threads` parallelizes the
-/// similarity evaluations; `batched_scan` scores the sample-vs-sample and
-/// sample-vs-existing matrices with one interleaved FrozenBank pass per
-/// sequence (identical values either way). `prefilter` (only with
-/// batched_scan) prunes those matrix scans with ScanPrefilter's admissible
-/// bounds — the seed selection only consumes per-sample maxima, which the
-/// prefilter reports exactly, so the chosen seeds are identical.
-/// `existing_bank` (only with batched_scan), when non-null, must hold
-/// `existing_models` in order; the existing clusters are then scored
-/// through it instead of a bank packed here (the clusterer passes the bank
-/// its re-cluster scan reuses). Returns fewer than `num_seeds` indices only
-/// when there are not enough unclustered sequences.
+/// similarity evaluations. The sample-vs-sample and sample-vs-existing
+/// matrices are scored with one ScanPrefilter argmax scan per sequence over
+/// a FrozenBank; `prefilter` selects its pruned or exhaustive mode. The
+/// seed selection only consumes per-sample maxima, which both modes report
+/// exactly, so the chosen seeds are identical. `existing_bank`, when
+/// non-null, must hold `existing_models` in order; the existing clusters
+/// are then scored through it instead of a bank packed here (the clusterer
+/// passes the bank its re-cluster scan reuses). Returns fewer than
+/// `num_seeds` indices only when there are not enough unclustered
+/// sequences.
 std::vector<size_t> SelectSeeds(
     const SequenceStore& db, const std::vector<size_t>& unclustered,
     size_t num_seeds, size_t sample_size,
     const std::vector<std::shared_ptr<const FrozenPst>>& existing_models,
     const BackgroundModel& background, const PstOptions& pst_options,
-    size_t num_threads, Rng* rng, bool batched_scan = true,
-    bool prefilter = true, const FrozenBank* existing_bank = nullptr);
+    size_t num_threads, Rng* rng, bool prefilter = true,
+    const FrozenBank* existing_bank = nullptr);
 
 }  // namespace cluseq
 

@@ -40,7 +40,6 @@ void WriteOptions(JsonWriter& writer, const CluseqOptions& options) {
   writer.KeyValue("auto_threshold_quantile", options.auto_threshold_quantile);
   writer.KeyValue("rebuild_each_iteration", options.rebuild_each_iteration);
   writer.KeyValue("within_scan_updates", options.within_scan_updates);
-  writer.KeyValue("batched_scan", options.batched_scan);
   writer.KeyValue("prefilter", options.prefilter);
   writer.KeyValue("adjust_bound_window", options.adjust_bound_window);
   writer.KeyValue("signature_budget_bytes",

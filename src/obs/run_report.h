@@ -64,10 +64,10 @@ struct RunReport {
   double total_seconds = 0.0;
 
   /// Prefilter aggregates across all iterations. `prefilter_enabled` echoes
-  /// whether the run was eligible to prune (option on, batched scan, not
-  /// within-scan mode); the skip ratio is skipped pairs over all n × k
-  /// pairs of prefiltered iterations (0 when none pruned, e.g. because the
-  /// threshold adjuster never froze).
+  /// whether the run was eligible to prune (option on, not within-scan
+  /// mode); the skip ratio is skipped pairs over all n × k pairs of the
+  /// banked re-cluster scans (0 when none pruned, e.g. with the prefilter
+  /// off).
   bool prefilter_enabled = false;
   double prefilter_skip_ratio = 0.0;
   size_t prefilter_early_exits = 0;

@@ -165,7 +165,7 @@ Status TrackCorruption(Status st) {
 }  // namespace
 
 // Accesses FrozenBank internals on behalf of the .fbank save/load
-// functions (mirrors PstSerializer for the single-model formats).
+// functions (mirrors PstSerializer for the live-tree .pst format).
 class BankSerializer {
  public:
   static Status Save(const FrozenBank& bank, std::string* blob) {

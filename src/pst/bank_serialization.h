@@ -5,7 +5,7 @@
 // holds model-local row offsets), so the file is the arena plus a layout
 // description, and loading is validation plus a pointer fixup: sharded
 // serving workers that mmap the same .fbank share page-cache pages
-// instead of each rebuilding k .fpst models.
+// instead of each rebuilding k models.
 //
 // Layout (little-endian; every multi-byte field at its natural offset):
 //

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -229,6 +230,32 @@ TEST(CancellationRunTest, CancelAtEverySaveResumesIdentically) {
     ExpectIdenticalResults(resumed, plain);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(CancellationRunTest, InterruptedRunServesNoClassify) {
+  // Cancelled after iteration 1's boundary: the clusterer still holds live
+  // clusters, but an interrupted run never serves them — Classify reports
+  // no model rather than scoring trees the run abandoned.
+  SequenceDatabase db = PlantedDb();
+  const std::string dir = MakeTempDir("cancel_classify");
+  CancellationToken token;
+  CluseqOptions o = FastOptions();
+  o.checkpoint_dir = dir;
+  o.checkpoint_every = 1;
+  o.cancellation = &token;
+  ScopedCancelHook hook(&token, /*cancel_at=*/1);
+  CluseqClusterer clusterer(db, o);
+  ClusteringResult result;
+  ASSERT_TRUE(clusterer.Run(&result).ok());
+  ASSERT_TRUE(result.interrupted);
+  ASSERT_FALSE(clusterer.clusters().empty());
+  for (size_t s = 0; s < db.size(); ++s) {
+    double log_sim = 0.0;
+    EXPECT_EQ(clusterer.Classify(db[s], &log_sim), -1) << "sequence " << s;
+    EXPECT_EQ(log_sim, -std::numeric_limits<double>::infinity())
+        << "sequence " << s;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CancellationRunTest, ResumeBumpsTheResumesCounter) {

@@ -255,7 +255,6 @@ TEST(CheckpointFormatTest, FingerprintIgnoresPerfSwitchesOnly) {
   // a different thread count or prefilter setting is legal.
   CluseqOptions perf = base;
   perf.num_threads = 7;
-  perf.batched_scan = !perf.batched_scan;
   perf.prefilter = !perf.prefilter;
   perf.verbose = !perf.verbose;
   perf.checkpoint_every = 5;

@@ -13,14 +13,15 @@ namespace cluseq {
 namespace {
 
 SequenceDatabase PlantedDb(size_t clusters, size_t per_cluster,
-                           double outliers, uint64_t seed) {
+                           double outliers, uint64_t seed,
+                           double spread = 0.25) {
   SyntheticDatasetOptions opts;
   opts.num_clusters = clusters;
   opts.sequences_per_cluster = per_cluster;
   opts.alphabet_size = 8;
   opts.avg_length = 80;
   opts.outlier_fraction = outliers;
-  opts.spread = 0.25;
+  opts.spread = spread;
   opts.seed = seed;
   return MakeSyntheticDataset(opts);
 }
@@ -328,6 +329,33 @@ TEST(CluseqTest, AllIdenticalSequencesFormOneCluster) {
   ASSERT_TRUE(RunCluseq(db, o, &result).ok());
   EXPECT_EQ(result.num_clusters(), 1u);
   EXPECT_EQ(result.num_unclustered, 0u);
+}
+
+TEST(CluseqTest, StableIterationRefreezesZeroClusters) {
+  // Once the clustering stops changing — no membership changes, no newly
+  // absorbed segments, no new seed clusters — the rebuild skip keeps every
+  // tree untouched and the dirty-bit re-freeze recompiles nothing. The
+  // whole pipeline is seeded and single-threaded, so this trajectory is
+  // deterministic: it ends in a run of stable iterations.
+  SequenceDatabase db = PlantedDb(2, 20, 0.0, 11, /*spread=*/0.10);
+  CluseqOptions o = FastOptions();
+  o.max_iterations = 20;
+  ClusteringResult result;
+  ASSERT_TRUE(RunCluseq(db, o, &result).ok());
+  ASSERT_FALSE(result.iteration_stats.empty());
+  const IterationStats& last = result.iteration_stats.back();
+  EXPECT_EQ(last.new_clusters, 0u);
+  EXPECT_EQ(last.refrozen_clusters, 0u)
+      << "an iteration that absorbed nothing must reuse every snapshot";
+  // Earlier iterations did real work: something was frozen at some point,
+  // and the scan time is accounted inside the iteration time.
+  size_t total_refrozen = 0;
+  for (const IterationStats& s : result.iteration_stats) {
+    total_refrozen += s.refrozen_clusters;
+    EXPECT_GE(s.scan_seconds, 0.0);
+    EXPECT_LE(s.scan_seconds, s.seconds);
+  }
+  EXPECT_GT(total_refrozen, 0u);
 }
 
 }  // namespace

@@ -234,14 +234,14 @@ TEST(FrozenBankThreadInvarianceTest, SelectSeedsThroughClustererBank) {
     }
   }
 
-  const auto select = [&](bool batched, bool prefilter, size_t threads,
+  const auto select = [&](bool prefilter, size_t threads,
                           const FrozenBank* bank) {
     Rng rng(77);
     return SelectSeeds(db, unclustered, 5, 15, existing, bg, pst_options,
-                       threads, &rng, batched, prefilter, bank);
+                       threads, &rng, prefilter, bank);
   };
-  // The per-snapshot path is the reference.
-  const std::vector<size_t> want = select(false, false, 1, nullptr);
+  // The exhaustive oracle over a locally packed bank is the reference.
+  const std::vector<size_t> want = select(false, 1, nullptr);
   ASSERT_EQ(want.size(), 5u);
   // A clusterer's bank may sit at any signature tier (its options budget);
   // BestModel's maximum is exact at every tier.
@@ -255,8 +255,8 @@ TEST(FrozenBankThreadInvarianceTest, SelectSeedsThroughClustererBank) {
                                   " prefilter " +
                                   std::to_string(prefilter) + " at " +
                                   std::to_string(threads) + " threads";
-        EXPECT_EQ(select(true, prefilter, threads, &bank), want) << label;
-        EXPECT_EQ(select(true, prefilter, threads, nullptr), want) << label;
+        EXPECT_EQ(select(prefilter, threads, &bank), want) << label;
+        EXPECT_EQ(select(prefilter, threads, nullptr), want) << label;
       }
     }
   }

@@ -4,8 +4,9 @@
 // cluster-sharded join) is built so the scheduler only decides *who*
 // executes an index, never how results are combined — so the clustering a
 // run produces must be bit-for-bit identical at any thread count, in both
-// batched and non-batched scan modes, with and without a PST memory budget
-// (which makes tree pruning insertion-order dependent, the hardest case).
+// the banked batch scan and the §4.2 within-scan-updates mode, with and
+// without a PST memory budget (which makes tree pruning insertion-order
+// dependent, the hardest case).
 
 #include <cmath>
 #include <vector>
@@ -91,15 +92,7 @@ void ExpectThreadCountInvariant(const SequenceDatabase& db,
 }
 
 TEST(ParallelDeterminismTest, BatchedScan) {
-  CluseqOptions o = BaseOptions();
-  o.batched_scan = true;
-  ExpectThreadCountInvariant(SkewedDb(101), o);
-}
-
-TEST(ParallelDeterminismTest, UnbatchedScan) {
-  CluseqOptions o = BaseOptions();
-  o.batched_scan = false;
-  ExpectThreadCountInvariant(SkewedDb(102), o);
+  ExpectThreadCountInvariant(SkewedDb(101), BaseOptions());
 }
 
 TEST(ParallelDeterminismTest, BatchedScanWithMemoryBudget) {
@@ -107,16 +100,8 @@ TEST(ParallelDeterminismTest, BatchedScanWithMemoryBudget) {
   // cluster-sharded join and per-cluster rebuild preserve the serial
   // insertion order exactly, so results must still match.
   CluseqOptions o = BaseOptions();
-  o.batched_scan = true;
   o.pst.max_memory_bytes = 64 * 1024;
   ExpectThreadCountInvariant(SkewedDb(103), o);
-}
-
-TEST(ParallelDeterminismTest, UnbatchedScanWithMemoryBudget) {
-  CluseqOptions o = BaseOptions();
-  o.batched_scan = false;
-  o.pst.max_memory_bytes = 64 * 1024;
-  ExpectThreadCountInvariant(SkewedDb(104), o);
 }
 
 TEST(ParallelDeterminismTest, WithinScanUpdatesMode) {

@@ -14,6 +14,7 @@
 //     admissible bounds strictly below the target;
 //   * BestModel equals the exhaustive first-strict-max argmax, including
 //     the exclude-one form seeding uses;
+//   * with pruning off, both calls are the exhaustive oracle itself;
 //   * whole-clusterer runs with the prefilter on equal prefilter-off runs
 //     bit-for-bit at 1, 2 and 7 threads, and Classify / BatchClassify
 //     agree on/off.
@@ -105,17 +106,27 @@ std::vector<ModelPtr> DiverseModels(size_t k, size_t alphabet, size_t depth,
 
 // The observable prefilter contract at one threshold: identical join set,
 // bit-identical results on joined pairs, admissible bounds on the rest,
-// and an exactly restored per-sequence maximum.
+// and an exactly restored per-sequence maximum. With pruning off the call is
+// the exhaustive oracle itself: every slot equals ScanAll bit-for-bit.
 void ExpectThresholdScanMatches(
     const FrozenBank& bank, const Symbols& query, double log_t,
-    size_t l15_prefix = ScanPrefilter::kDefaultL15Prefix) {
+    size_t l15_prefix = ScanPrefilter::kDefaultL15Prefix, bool prune = true) {
   const size_t k = bank.num_models();
   const std::vector<SimilarityResult> off = bank.ScanAll(query);
-  const ScanPrefilter prefilter(&bank, l15_prefix);
+  const ScanPrefilter prefilter(&bank, l15_prefix, prune);
   std::vector<SimilarityResult> on(k);
   PrefilterScanStats stats;
   prefilter.ScanAllWithThreshold(query, log_t, on.data(), &stats);
   EXPECT_EQ(stats.models_total, k);
+  if (!prune) {
+    EXPECT_EQ(stats.candidates_skipped, 0u);
+    for (size_t m = 0; m < k; ++m) {
+      EXPECT_EQ(off[m].log_sim, on[m].log_sim) << "model " << m;
+      EXPECT_EQ(off[m].best_begin, on[m].best_begin) << "model " << m;
+      EXPECT_EQ(off[m].best_end, on[m].best_end) << "model " << m;
+    }
+    return;
+  }
 
   double off_best = kNegInf;
   double on_best = kNegInf;
@@ -139,7 +150,8 @@ void ExpectThresholdScanMatches(
 }
 
 void ExpectBestModelMatches(const FrozenBank& bank, const Symbols& query,
-                            size_t exclude = ScanPrefilter::kNoExclude) {
+                            size_t exclude = ScanPrefilter::kNoExclude,
+                            bool prune = true) {
   const size_t k = bank.num_models();
   const std::vector<SimilarityResult> off = bank.ScanAll(query);
   double expect_best = kNegInf;
@@ -151,7 +163,8 @@ void ExpectBestModelMatches(const FrozenBank& bank, const Symbols& query,
       expect_pos = static_cast<int32_t>(m);
     }
   }
-  const ScanPrefilter prefilter(&bank);
+  const ScanPrefilter prefilter(&bank, ScanPrefilter::kDefaultL15Prefix,
+                                prune);
   double best = 0.0;
   EXPECT_EQ(prefilter.BestModel(query, &best, nullptr, exclude), expect_pos);
   EXPECT_EQ(best, expect_pos >= 0 ? expect_best : kNegInf);
@@ -182,12 +195,19 @@ TEST(PrefilterScanTest, MatchesOracleAcrossThresholdsAndBanks) {
           std::sort(scores.begin(), scores.end());
           median = scores[scores.size() / 2];
         }
-        for (double log_t : {kNegInf, 0.0, median, 1e300}) {
-          ExpectThresholdScanMatches(bank, query, log_t);
+        // Pruned, then the exhaustive oracle mode of the same calls.
+        for (bool prune : {true, false}) {
+          for (double log_t : {kNegInf, 0.0, median, 1e300}) {
+            ExpectThresholdScanMatches(bank, query, log_t,
+                                       ScanPrefilter::kDefaultL15Prefix,
+                                       prune);
+          }
+          ExpectBestModelMatches(bank, query, ScanPrefilter::kNoExclude,
+                                 prune);
+          ExpectBestModelMatches(bank, query, /*exclude=*/0, prune);
+          ExpectBestModelMatches(bank, query, /*exclude=*/shape.k / 2,
+                                 prune);
         }
-        ExpectBestModelMatches(bank, query);
-        ExpectBestModelMatches(bank, query, /*exclude=*/0);
-        ExpectBestModelMatches(bank, query, /*exclude=*/shape.k / 2);
       }
     }
   }

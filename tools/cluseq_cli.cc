@@ -227,17 +227,6 @@ struct CommonFlags {
         options.num_threads = std::strtoul(v.c_str(), nullptr, 10);
       } else if (ParseFlag(arg, "pst-memory", &v)) {
         options.pst.max_memory_bytes = std::strtoul(v.c_str(), nullptr, 10);
-      } else if (ParseFlag(arg, "batched_scan", &v) ||
-                 ParseFlag(arg, "batched-scan", &v)) {
-        if (v == "on") {
-          options.batched_scan = true;
-        } else if (v == "off") {
-          options.batched_scan = false;
-        } else {
-          std::fprintf(stderr, "--batched_scan takes 'on' or 'off', got %s\n",
-                       v.c_str());
-          return false;
-        }
       } else if (ParseFlag(arg, "prefilter", &v)) {
         if (v == "on") {
           options.prefilter = true;
@@ -462,29 +451,21 @@ int RunCluster(CommonFlags& flags) {
   } else if (!flags.model_dir.empty()) {
     st = EnsureDirectory(flags.model_dir);
     if (!st.ok()) return Fail(st, "model-dir");
+    // The live trees (retrainable, re-frozen against the input's
+    // background when classify falls back to them) and one mmap-able
+    // .fbank bundling every compiled snapshot (training background baked
+    // in), which classify prefers.
     std::vector<std::shared_ptr<const FrozenPst>> snapshots;
     for (size_t c = 0; c < clusterer.clusters().size(); ++c) {
-      std::string base = flags.model_dir + "/cluster" + std::to_string(c);
-      // The live tree (retrainable) and the compiled snapshot (scoring-only,
-      // training background baked in) side by side; classify prefers the
-      // snapshot.
-      st = SavePstToFile(clusterer.clusters()[c].pst(), base + ".pst");
+      const Pst& pst = clusterer.clusters()[c].pst();
+      st = SavePstToFile(pst, flags.model_dir + "/cluster" +
+                                  std::to_string(c) + ".pst");
       if (!st.ok()) return Fail(st, "save model");
-      auto frozen = std::make_shared<FrozenPst>(clusterer.clusters()[c].pst(),
-                                                clusterer.background());
-      st = SaveFrozenPstToFile(*frozen, base + ".fpst");
-      if (!st.ok()) return Fail(st, "save snapshot");
-      snapshots.push_back(std::move(frozen));
+      snapshots.push_back(
+          std::make_shared<const FrozenPst>(pst, clusterer.background()));
     }
-    std::printf("models -> %s/cluster*.{pst,fpst}\n",
-                flags.model_dir.c_str());
-    bool bankable = !snapshots.empty();
-    for (const auto& m : snapshots) {
-      bankable = bankable && !m->empty() &&
-                 m->alphabet_size() == snapshots.front()->alphabet_size();
-    }
-    if (bankable) {
-      // One mmap-able .fbank bundling every snapshot; classify prefers it.
+    std::printf("models -> %s/cluster*.pst\n", flags.model_dir.c_str());
+    if (!snapshots.empty()) {
       FrozenBank bank(std::move(snapshots), flags.options.num_threads);
       st = SaveFrozenBankToFile(bank, flags.model_dir + "/bank.fbank");
       if (!st.ok()) return Fail(st, "save bank");
@@ -514,70 +495,67 @@ int RunClassify(const CommonFlags& flags) {
   }
 
   // Degradation chain: prefer the single .fbank snapshot set (mmap-shared,
-  // one checksummed load), then compiled snapshots (.fpst — score directly,
-  // training background baked in), then live trees (.pst, frozen here
-  // against the input data's background). A corrupt file fails the whole
-  // command under --strict; otherwise it is skipped with a warning (the
-  // loaders bump persistence.corruption_detected) and the next source in
-  // the chain covers for it.
+  // one checksummed load), then the live trees (.pst, frozen here against
+  // the input data's background and packed into a bank). A corrupt file
+  // fails the whole command under --strict; otherwise it is skipped with a
+  // warning (the loaders bump persistence.corruption_detected) and the next
+  // source in the chain covers for it.
   size_t skipped = 0;
   FrozenBank bank;
-  bool use_bank = false;
   const std::string bank_path = flags.model_dir + "/bank.fbank";
-  if (flags.options.batched_scan && FileExists(bank_path)) {
+  if (FileExists(bank_path)) {
     FbankLoadInfo info;
     FbankLoadOptions load_options;
     load_options.num_threads = flags.options.num_threads;
     Status load =
         LoadFrozenBankFromFile(bank_path, &bank, load_options, &info);
     if (load.ok()) {
-      use_bank = true;
       std::printf("loaded %zu models from %s (%s)\n", bank.num_models(),
                   bank_path.c_str(), info.mmap ? "mmap" : "buffered");
     } else {
       if (flags.strict) return Fail(load, "load bank");
       std::fprintf(stderr,
                    "warning: skipping %s (%s); falling back to per-cluster "
-                   "models\n",
+                   "trees\n",
                    bank_path.c_str(), load.ToString().c_str());
       ++skipped;
     }
   }
-
-  std::vector<std::shared_ptr<const FrozenPst>> models;
-  if (!use_bank) {
+  if (bank.empty()) {
+    BackgroundModel background = BackgroundModel::FromDatabase(db);
+    std::vector<std::shared_ptr<const FrozenPst>> models;
     for (size_t c = 0;; ++c) {
       std::string path =
-          flags.model_dir + "/cluster" + std::to_string(c) + ".fpst";
+          flags.model_dir + "/cluster" + std::to_string(c) + ".pst";
       if (!FileExists(path)) break;
-      auto frozen = std::make_shared<FrozenPst>();
-      Status load = LoadFrozenPstFromFile(path, frozen.get());
+      Pst pst(1, PstOptions{});
+      Status load = LoadPstFromFile(path, &pst);
       if (!load.ok()) {
-        if (flags.strict) return Fail(load, "load snapshot");
+        if (flags.strict) return Fail(load, "load model");
         std::fprintf(stderr, "warning: skipping %s (%s)\n", path.c_str(),
                      load.ToString().c_str());
         ++skipped;
         continue;
       }
-      models.push_back(std::move(frozen));
-    }
-    if (models.empty()) {
-      BackgroundModel background = BackgroundModel::FromDatabase(db);
-      for (size_t c = 0;; ++c) {
-        std::string path =
-            flags.model_dir + "/cluster" + std::to_string(c) + ".pst";
-        if (!FileExists(path)) break;
-        Pst pst(1, PstOptions{});
-        Status load = LoadPstFromFile(path, &pst);
-        if (!load.ok()) {
-          if (flags.strict) return Fail(load, "load model");
-          std::fprintf(stderr, "warning: skipping %s (%s)\n", path.c_str(),
-                       load.ToString().c_str());
-          ++skipped;
-          continue;
-        }
-        models.push_back(std::make_shared<const FrozenPst>(pst, background));
+      // Freezing reads the input's background at every tree symbol.
+      if (pst.alphabet_size() > background.alphabet_size()) {
+        std::fprintf(stderr,
+                     "classify: %s has %zu symbols but the input only %zu; "
+                     "the .pst fallback needs an input over the training "
+                     "alphabet\n",
+                     path.c_str(), pst.alphabet_size(),
+                     background.alphabet_size());
+        return 2;
       }
+      if (!models.empty() &&
+          pst.alphabet_size() != models.front()->alphabet_size()) {
+        return Fail(Status::InvalidArgument(StringPrintf(
+                        "%s has alphabet size %zu, the other models %zu",
+                        path.c_str(), pst.alphabet_size(),
+                        models.front()->alphabet_size())),
+                    "classify");
+      }
+      models.push_back(std::make_shared<const FrozenPst>(pst, background));
     }
     if (models.empty()) {
       return Fail(Status::NotFound(StringPrintf(
@@ -586,64 +564,38 @@ int RunClassify(const CommonFlags& flags) {
                       flags.model_dir.c_str(), skipped)),
                   "classify");
     }
-    std::printf("loaded %zu models\n", models.size());
+    bank.Assemble(std::move(models), flags.options.num_threads);
+    std::printf("loaded %zu models\n", bank.num_models());
+  }
+  // The bank's rows hold one entry per symbol of its alphabet; a corpus
+  // symbol past them would index out of the tables.
+  if (db.alphabet().size() > bank.alphabet_size()) {
+    std::fprintf(stderr,
+                 "classify: the input has %zu symbols but the models' "
+                 "alphabet has %zu; classify a corpus over the training "
+                 "alphabet\n",
+                 db.alphabet().size(), bank.alphabet_size());
+    return 2;
   }
 
-  // One-pass banked scoring when enabled and the models agree on an
-  // alphabet (snapshots from one clustering run always do; the serial loop
-  // stays as the fallback for mixed model directories). A bank mapped from
-  // .fbank is scored as-is.
-  bool bankable = use_bank;
-  if (!use_bank && flags.options.batched_scan) {
-    bankable = true;
-    for (const auto& m : models) {
-      bankable = bankable && !m->empty() &&
-                 m->alphabet_size() == models.front()->alphabet_size();
-    }
-    if (bankable) bank.Assemble(models, flags.options.num_threads);
-  }
-
-  const size_t num_models = use_bank ? bank.num_models() : models.size();
   // Score in parallel (each sequence writes only its own slot, so output is
   // identical at any thread count), then print serially in input order.
+  // Argmax scan: exact value, smallest-index tie-break; a sequence every
+  // model scores -inf prints model 0.
+  const ScanPrefilter prefilter(&bank, ScanPrefilter::kDefaultL15Prefix,
+                                flags.options.prefilter);
   std::vector<double> best_sim(db.size(), -1e300);
   std::vector<size_t> best_model(db.size(), 0);
   ParallelForWeighted(
       db.size(), flags.options.num_threads,
       [&](size_t i) -> uint64_t { return db.Length(i); },
       [&](size_t i) {
-        double best = -1e300;
-        size_t best_c = 0;
-        if (bankable && flags.options.prefilter) {
-          // Pruned argmax scan; exact value and the same smallest-index
-          // tie-break as the exhaustive loops below.
-          const ScanPrefilter prefilter(&bank);
-          double value = 0.0;
-          const int32_t m = prefilter.BestModel(db.Symbols(i), &value);
-          if (m >= 0 && value > best) {
-            best = value;
-            best_c = static_cast<size_t>(m);
-          }
-        } else if (bankable) {
-          std::vector<SimilarityResult> sims(num_models);
-          bank.ScanAll(db.Symbols(i), sims.data());
-          for (size_t c = 0; c < num_models; ++c) {
-            if (sims[c].log_sim > best) {
-              best = sims[c].log_sim;
-              best_c = c;
-            }
-          }
-        } else {
-          for (size_t c = 0; c < num_models; ++c) {
-            double s = ComputeSimilarity(*models[c], db.Symbols(i)).log_sim;
-            if (s > best) {
-              best = s;
-              best_c = c;
-            }
-          }
+        double value = 0.0;
+        const int32_t m = prefilter.BestModel(db.Symbols(i), &value);
+        if (m >= 0) {
+          best_sim[i] = value;
+          best_model[i] = static_cast<size_t>(m);
         }
-        best_sim[i] = best;
-        best_model[i] = best_c;
       });
   for (size_t i = 0; i < db.size(); ++i) {
     const std::string id = db.Id(i).empty() ? "seq" + std::to_string(i)
@@ -762,8 +714,7 @@ void PrintUsage() {
                "[--min-members=N]\n"
                "           [--max-iterations=N] [--threads=N] "
                "[--pst-memory=BYTES]\n"
-               "           [--batched_scan=on|off] [--prefilter=on|off] "
-               "[--verbose]\n"
+               "           [--prefilter=on|off] [--verbose]\n"
                "           [--adjust_window=F] [--sig_budget_mb=N] "
                "[--prefilter_l15=N]\n"
                "           --adjust_window: censor window W of the "
@@ -807,7 +758,7 @@ void PrintUsage() {
                "           exit 0 = ok, 1 = threshold breached, 2 = usage/"
                "schema error\n"
                "  classify --input=PATH --model-dir=DIR "
-               "[--batched_scan=on|off] [--prefilter=on|off] [--strict]\n"
+               "[--prefilter=on|off] [--strict]\n"
                "           [--threads=N] [--metrics_prom=PATH]\n"
                "  --prefilter=on skips clusters via admissible score bounds; "
                "outputs are\n"
