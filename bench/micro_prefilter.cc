@@ -1,6 +1,6 @@
-// Prefilter A/B: the multi-level pruned scan (ScanPrefilter over
-// FrozenBank::ScanCandidatesBounded) against the exhaustive ScanAll oracle
-// on the same bank, same threshold, same corpus, at
+// Prefilter A/B: the multi-level pruned scan (ScanPrefilter, whose
+// survivors run FrozenBank::ScanCandidates) against the exhaustive ScanAll
+// oracle on the same bank, same threshold, same corpus, at
 // k = {64, 256, 1024, 4096, 8192} cluster models.
 //
 // The workload mirrors a mid-run CLUSEQ iteration honestly: one depth-5 PST
@@ -22,10 +22,9 @@
 // joined pairs, identical per-sequence maxima, and an identical
 // first-strict-max argmax; any mismatch fails the bench.
 //
-// Emitted per k: scan times, speedup, the pruning funnel (level-0 block
-// drops, level-1.5 truncated-DP drops, DP candidates, mid-DP early exits,
-// adaptive bound checkpoints, residual rescans), and per-sequence on-arm
-// cost. `near_constant_ratio_k4096` = per-seq cost at k=4096 over k=1024 —
+// Emitted per k: scan times, speedup, the pruning funnel (skip ratio,
+// level-1.5 truncated-DP drops, pairs that reached the exact sparse DP,
+// residual rescans), and per-sequence on-arm cost. `near_constant_ratio_k4096` = per-seq cost at k=4096 over k=1024 —
 // the headline "near-constant in k" number CI gates on — plus the
 // `prefilter.bound_slack` histogram buckets from the run.
 //
@@ -196,8 +195,6 @@ int main(int argc, char** argv) {
     const auto cost = [&db](size_t s) -> uint64_t { return db.Length(s); };
     std::atomic<uint64_t> skipped{0};
     std::atomic<uint64_t> l15_pruned{0};
-    std::atomic<uint64_t> early{0};
-    std::atomic<uint64_t> checkpoints{0};
     std::atomic<uint64_t> rescans{0};
     Stopwatch on_timer;
     ParallelForWeighted(n, threads, cost, [&](size_t s) {
@@ -208,8 +205,6 @@ int main(int argc, char** argv) {
                                      &stats);
       skipped.fetch_add(stats.candidates_skipped, std::memory_order_relaxed);
       l15_pruned.fetch_add(stats.l15_pruned, std::memory_order_relaxed);
-      early.fetch_add(stats.dp_early_exits, std::memory_order_relaxed);
-      checkpoints.fetch_add(stats.checkpoints, std::memory_order_relaxed);
       rescans.fetch_add(stats.residual_rescans, std::memory_order_relaxed);
     });
     const double on_seconds = on_timer.ElapsedSeconds();
@@ -251,10 +246,6 @@ int main(int argc, char** argv) {
     metrics.emplace_back(
         tag + "_dp_candidates",
         pairs - static_cast<double>(skipped.load()));
-    metrics.emplace_back(tag + "_early_exits",
-                         static_cast<double>(early.load()));
-    metrics.emplace_back(tag + "_bound_checkpoints",
-                         static_cast<double>(checkpoints.load()));
     metrics.emplace_back(tag + "_residual_rescans",
                          static_cast<double>(rescans.load()));
   }

@@ -73,6 +73,9 @@ class Reader {
   bool ReadVec(uint64_t count, std::vector<T>* out) {
     if (!ok_ || size_ - pos_ < count * sizeof(T)) return Fail();
     out->resize(static_cast<size_t>(count));
+    // An empty vector's data() may be null, and memcpy from/to null is
+    // undefined even for zero bytes.
+    if (count == 0) return true;
     std::memcpy(out->data(), data_ + pos_,
                 static_cast<size_t>(count) * sizeof(T));
     pos_ += static_cast<size_t>(count) * sizeof(T);

@@ -365,9 +365,7 @@ void CluseqClusterer::Recluster() {
       const ScanPrefilter prefilter(&bank_, options_.prefilter_prefix,
                                     prefilter_active_);
       std::atomic<uint64_t> skipped{0};
-      std::atomic<uint64_t> early_exits{0};
       std::atomic<uint64_t> l15_pruned{0};
-      std::atomic<uint64_t> checkpoints{0};
       // Scan cost is linear in sequence length; weighted chunking keeps a
       // length-skewed database from parking workers behind one straggler.
       ParallelForWeighted(
@@ -379,22 +377,14 @@ void CluseqClusterer::Recluster() {
                                            sims.data() + s * kc, &scan_stats);
             skipped.fetch_add(scan_stats.candidates_skipped,
                               std::memory_order_relaxed);
-            early_exits.fetch_add(scan_stats.dp_early_exits,
-                                  std::memory_order_relaxed);
             l15_pruned.fetch_add(scan_stats.l15_pruned,
                                  std::memory_order_relaxed);
-            checkpoints.fetch_add(scan_stats.checkpoints,
-                                  std::memory_order_relaxed);
           });
       prefilter_pairs_this_iter_ += n * kc;
       prefilter_skipped_this_iter_ +=
           static_cast<size_t>(skipped.load(std::memory_order_relaxed));
-      prefilter_early_exits_this_iter_ +=
-          static_cast<size_t>(early_exits.load(std::memory_order_relaxed));
       prefilter_l15_this_iter_ +=
           static_cast<size_t>(l15_pruned.load(std::memory_order_relaxed));
-      prefilter_checkpoints_this_iter_ +=
-          static_cast<size_t>(checkpoints.load(std::memory_order_relaxed));
       const double scan_elapsed = scan_timer.ElapsedSeconds();
       scan_seconds_this_iter_ += scan_elapsed;
       const uint64_t scanned =
@@ -711,9 +701,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   prefilter_active_ = options_.prefilter && !options_.within_scan_updates;
   run_prefilter_pairs_ = 0;
   run_prefilter_skipped_ = 0;
-  run_prefilter_early_exits_ = 0;
   run_prefilter_l15_ = 0;
-  run_prefilter_checkpoints_ = 0;
   phase_perf_.TakePhases();  // Drop samples a prior (aborted) run left over.
 
   size_t start_iteration = 0;
@@ -878,9 +866,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     join_seconds_this_iter_ = 0.0;
     prefilter_pairs_this_iter_ = 0;
     prefilter_skipped_this_iter_ = 0;
-    prefilter_early_exits_this_iter_ = 0;
     prefilter_l15_this_iter_ = 0;
-    prefilter_checkpoints_this_iter_ = 0;
     // While the §4.6 adjuster is live its histogram must see exact scores,
     // so the scan targets the censored floor log t − W instead of log t:
     // everything at or above the floor comes back exact (the adjuster and
@@ -970,9 +956,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.seed_seconds = seed_seconds;
     stats.join_seconds = join_seconds_this_iter_;
     stats.consolidate_seconds = consolidate_seconds;
-    stats.prefilter_dp_early_exits = prefilter_early_exits_this_iter_;
     stats.prefilter_l15_pruned = prefilter_l15_this_iter_;
-    stats.prefilter_checkpoints = prefilter_checkpoints_this_iter_;
     stats.phase_perf = phase_perf_.TakePhases();
     if (prefilter_pairs_this_iter_ > 0) {
       stats.prefilter_skip_ratio =
@@ -981,9 +965,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     }
     run_prefilter_pairs_ += prefilter_pairs_this_iter_;
     run_prefilter_skipped_ += prefilter_skipped_this_iter_;
-    run_prefilter_early_exits_ += prefilter_early_exits_this_iter_;
     run_prefilter_l15_ += prefilter_l15_this_iter_;
-    run_prefilter_checkpoints_ += prefilter_checkpoints_this_iter_;
     size_t pst_bytes_total = 0;
     for (const Cluster& c : clusters_) {
       stats.pst_nodes_total += c.pst().NumNodes();
@@ -1023,10 +1005,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << "s / consolidate " << stats.consolidate_seconds
                         << "s, prefilter skip "
                         << 100.0 * stats.prefilter_skip_ratio << "% ("
-                        << stats.prefilter_l15_pruned << " l15 pruned, "
-                        << stats.prefilter_dp_early_exits
-                        << " early exits, "
-                        << stats.prefilter_checkpoints << " checkpoints)";
+                        << stats.prefilter_l15_pruned << " l15 pruned)";
       // One perf line per iteration when the counters opened: the scan
       // phase dominates, so lead with its cycles and IPC.
       for (const obs::PhasePerf& phase : stats.phase_perf) {
@@ -1118,7 +1097,6 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   report_->final_log_threshold = result->final_log_threshold;
   report_->total_seconds = run_timer.ElapsedSeconds();
   report_->prefilter_enabled = prefilter_active_;
-  report_->prefilter_early_exits = run_prefilter_early_exits_;
   report_->prefilter_skip_ratio =
       run_prefilter_pairs_ > 0
           ? static_cast<double>(run_prefilter_skipped_) /
@@ -1129,7 +1107,6 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
           ? static_cast<double>(run_prefilter_l15_) /
                 static_cast<double>(run_prefilter_pairs_)
           : 0.0;
-  report_->prefilter_checkpoints = run_prefilter_checkpoints_;
   report_->prefilter_sig_tier =
       bank_.empty() ? "" : bank_.signature_tier_name();
   report_->checkpoint_enabled = checkpointing;

@@ -146,172 +146,6 @@ void ScanBlockScalar(const FrozenBank::Entry* entries, const uint32_t* bases,
   }
 }
 
-/// Earliest position at which a lane could first fail the abandon test.
-/// The test needs max(Z, pos(Y) + rem·margin) < target with pos(Y) ≥ 0, so
-/// rem·margin < target is necessary: for margin > 0 that means
-/// i > len − target/margin; a zero-margin lane can fail anywhere.
-/// Checking earlier is sound (the bound itself is always admissible) —
-/// this only prunes provably useless checks.
-inline double EarliestFailPosition(double margin, double target, size_t len) {
-  if (!(margin > 0.0)) return 1.0;
-  const double j0 = static_cast<double>(len) - target / margin;
-  return j0 > 1.0 ? j0 : 1.0;
-}
-
-size_t ScanBlockScalarBounded(const FrozenBank::Entry* entries,
-                              const uint32_t* bases, size_t num_models,
-                              const SymbolId* symbols, size_t len,
-                              const double* margins, double target,
-                              SimilarityResult* out, uint8_t* exact,
-                              size_t* checkpoints) {
-  // Same DP lanes as ScanBlockScalar plus, per lane, its output slot (lanes
-  // compact as models abandon, outputs do not) and its admissible
-  // per-symbol margin. The abandon checks run on an adaptive schedule —
-  // dense (every kBoundCheckMin symbols) while lanes keep abandoning,
-  // geometric back-off once the survivors separate from the target — so
-  // near-miss candidates die early and true survivors pay ~nothing.
-  double y[kMaxBlockModels];
-  double z[kMaxBlockModels];
-  uint32_t row[kMaxBlockModels];
-  uint32_t base[kMaxBlockModels];
-  size_t ybegin[kMaxBlockModels];
-  size_t bbegin[kMaxBlockModels];
-  size_t bend[kMaxBlockModels];
-  uint32_t slot[kMaxBlockModels];
-  double margin[kMaxBlockModels];
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-  for (size_t m = 0; m < num_models; ++m) {
-    base[m] = bases[m];
-    row[m] = bases[m];
-    z[m] = neg_inf;
-    ybegin[m] = 0;
-    bbegin[m] = 0;
-    bend[m] = 0;
-    slot[m] = static_cast<uint32_t>(m);
-    margin[m] = margins[m];
-    exact[m] = 1;
-  }
-  size_t active = num_models;
-  size_t abandoned = 0;
-
-  // Schedule state. A target ≤ 0 can never be undercut (the bound is
-  // ≥ pos(Y) ≥ 0), so the whole scan runs checkpoint-free.
-  constexpr size_t kBoundCheckMin = 16;
-  constexpr size_t kBoundCheckMax = 512;
-  size_t interval = kBoundCheckMin;
-  size_t next_check = len;
-  if (target > 0.0) {
-    double min_j0 = static_cast<double>(len);
-    for (size_t m = 0; m < num_models; ++m) {
-      const double j0 = EarliestFailPosition(margin[m], target, len);
-      if (j0 < min_j0) min_j0 = j0;
-    }
-    next_check = min_j0 >= static_cast<double>(len)
-                     ? len
-                     : std::max(kBoundCheckMin, static_cast<size_t>(min_j0));
-  }
-
-  // i = 0 peeled, identical to ScanBlockScalar.
-  {
-    const uint32_t s = symbols[0];
-    for (size_t m = 0; m < active; ++m) {
-      const FrozenBank::Entry& e = entries[static_cast<size_t>(row[m]) + s];
-      row[m] = base[m] + e.next;
-      y[m] = e.ratio;
-      if (y[m] > z[m]) {
-        z[m] = y[m];
-        bend[m] = 1;
-      }
-    }
-  }
-  for (size_t i = 1; i < len; ++i) {
-    if (i >= next_check) {
-      if (checkpoints != nullptr) ++*checkpoints;
-      // Positions 0..i-1 are consumed; `len - i` symbols remain. Any future
-      // Y either extends the current run (≤ Y_i + rem·margin) or restarts
-      // inside the remainder (≤ rem·margin), so the final Z cannot exceed
-      // max(Z_i, max(Y_i, 0) + rem·margin).
-      const double rem = static_cast<double>(len - i);
-      const size_t was_active = active;
-      size_t w = 0;
-      for (size_t m = 0; m < active; ++m) {
-        const double peak = y[m] > 0.0 ? y[m] : 0.0;
-        double ub = peak + rem * margin[m];
-        if (z[m] > ub) ub = z[m];
-        if (ub < target) {
-          out[slot[m]].log_sim = ub;
-          out[slot[m]].best_begin = bbegin[m];
-          out[slot[m]].best_end = bend[m];
-          exact[slot[m]] = 0;
-          ++abandoned;
-          continue;
-        }
-        if (w != m) {
-          y[w] = y[m];
-          z[w] = z[m];
-          row[w] = row[m];
-          // The base must travel with the lane: transitions rebase via it,
-          // and after compaction lane index != original candidate index.
-          base[w] = base[m];
-          ybegin[w] = ybegin[m];
-          bbegin[w] = bbegin[m];
-          bend[w] = bend[m];
-          slot[w] = slot[m];
-          margin[w] = margin[m];
-        }
-        ++w;
-      }
-      active = w;
-      if (active == 0) return abandoned;
-      // Reschedule: lanes whose Z already reached the target can never be
-      // abandoned (Z only grows and the bound is ≥ Z), so they drop out of
-      // the earliest-fail scan; if none remain abandonable, checking is
-      // over for good.
-      double min_j0 = std::numeric_limits<double>::infinity();
-      for (size_t m = 0; m < active; ++m) {
-        if (z[m] >= target) continue;
-        const double j0 = EarliestFailPosition(margin[m], target, len);
-        if (j0 < min_j0) min_j0 = j0;
-      }
-      if (min_j0 >= static_cast<double>(len)) {
-        next_check = len;
-      } else {
-        interval = active < was_active
-                       ? kBoundCheckMin
-                       : std::min(interval * 2, kBoundCheckMax);
-        next_check = i + interval;
-        if (static_cast<double>(next_check) < min_j0) {
-          next_check = static_cast<size_t>(min_j0);
-        }
-      }
-    }
-    const uint32_t s = symbols[i];
-    for (size_t m = 0; m < active; ++m) {
-      const FrozenBank::Entry& e = entries[static_cast<size_t>(row[m]) + s];
-      const double x = e.ratio;
-      row[m] = base[m] + e.next;
-      const double extend = y[m] + x;
-      if (extend < x) {
-        y[m] = x;
-        ybegin[m] = i;
-      } else {
-        y[m] = extend;
-      }
-      if (y[m] > z[m]) {
-        z[m] = y[m];
-        bbegin[m] = ybegin[m];
-        bend[m] = i + 1;
-      }
-    }
-  }
-  for (size_t m = 0; m < active; ++m) {
-    out[slot[m]].log_sim = z[m];
-    out[slot[m]].best_begin = bbegin[m];
-    out[slot[m]].best_end = bend[m];
-  }
-  return abandoned;
-}
-
 void KadaneColumnsScalar(const uint8_t* const* cols, size_t len, size_t n,
                          int32_t* z) {
   for (size_t m = 0; m < n; ++m) {
@@ -432,7 +266,6 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
   const SignatureTier tier = SelectSignatureTier(models_.size(), alphabet);
   const bool tier_changed = tier != sig_tier_;
   sig_tier_ = tier;
-  sig_rmax_.resize(models_.size());
   sig_maxsym_.resize(models_.size() * alphabet);
   sig_cap_q_.resize(models_.size() * signature_code_space());
 
@@ -540,7 +373,6 @@ void FrozenBank::BuildSignature(size_t m) {
     // Assembled bank: the per-symbol maxima were precomputed at freeze time.
     const std::span<const double> src = models_[m]->max_symbol_log_ratio();
     std::copy(src.begin(), src.end(), maxsym);
-    sig_rmax_[m] = models_[m]->max_log_ratio();
   } else {
     // Mapped bank: one pass over the packed rows.
     std::fill(maxsym, maxsym + a_size, neg_inf);
@@ -550,11 +382,6 @@ void FrozenBank::BuildSignature(size_t m) {
         if (row[a].ratio > maxsym[a]) maxsym[a] = row[a].ratio;
       }
     }
-    double rmax = neg_inf;
-    for (size_t a = 0; a < a_size; ++a) {
-      if (maxsym[a] > rmax) rmax = maxsym[a];
-    }
-    sig_rmax_[m] = rmax;
   }
 
   if (sig_tier_ == SignatureTier::kUnigram) {
@@ -635,7 +462,6 @@ void FrozenBank::BuildSignature(size_t m) {
 void FrozenBank::BuildAllSignatures(size_t num_threads) {
   const size_t k = base_.size();
   sig_tier_ = SelectSignatureTier(k, alphabet_size_);
-  sig_rmax_.resize(k);
   sig_maxsym_.resize(k * alphabet_size_);
   sig_cap_q_.resize(k * signature_code_space());
   ParallelForWeighted(
@@ -784,23 +610,6 @@ void FrozenBank::ScanAll(std::span<const SymbolId> symbols,
   }
 }
 
-namespace {
-
-// Scratch for the sparse scans: the candidates' bases (and margins)
-// compacted into the dense arrays the block kernels expect. thread_local
-// because ScanCandidates* runs concurrently on pool workers.
-struct SparseScanScratch {
-  std::vector<uint32_t> bases;
-  std::vector<double> margins;
-};
-
-SparseScanScratch& GetSparseScratch() {
-  static thread_local SparseScanScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 void FrozenBank::ScanCandidates(std::span<const SymbolId> symbols,
                                 std::span<const uint32_t> candidates,
                                 SimilarityResult* results) const {
@@ -818,9 +627,12 @@ void FrozenBank::ScanCandidates(std::span<const SymbolId> symbols,
 #else
   const bool use_simd = false;
 #endif
-  SparseScanScratch& scratch = GetSparseScratch();
-  scratch.bases.resize(k);
-  for (size_t j = 0; j < k; ++j) scratch.bases[j] = base32_[candidates[j]];
+  // The candidates' bases compacted into the dense array the block kernels
+  // expect; thread_local because ScanCandidates runs concurrently on pool
+  // workers.
+  static thread_local std::vector<uint32_t> bases;
+  bases.resize(k);
+  for (size_t j = 0; j < k; ++j) bases[j] = base32_[candidates[j]];
 
   static obs::Counter& scan_symbols =
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.scan_symbols");
@@ -830,82 +642,16 @@ void FrozenBank::ScanCandidates(std::span<const SymbolId> symbols,
     const size_t mb = std::min(block, k - m0);
 #ifdef CLUSEQ_HAVE_AVX2
     if (use_simd) {
-      internal::ScanBlockAvx2(scan_data(), scratch.bases.data() + m0, mb,
+      internal::ScanBlockAvx2(scan_data(), bases.data() + m0, mb,
                               symbols.data(), symbols.size(), results + m0);
       continue;
     }
 #else
     (void)use_simd;
 #endif
-    internal::ScanBlockScalar(scan_data(), scratch.bases.data() + m0, mb,
+    internal::ScanBlockScalar(scan_data(), bases.data() + m0, mb,
                               symbols.data(), symbols.size(), results + m0);
   }
-}
-
-size_t FrozenBank::ScanCandidatesBounded(std::span<const SymbolId> symbols,
-                                         std::span<const uint32_t> candidates,
-                                         double target,
-                                         SimilarityResult* results,
-                                         uint8_t* exact,
-                                         std::span<const double> margins,
-                                         size_t* checkpoints) const {
-  const size_t k = candidates.size();
-  if (k == 0) return 0;
-  if (symbols.empty()) {
-    for (size_t j = 0; j < k; ++j) {
-      results[j] = SimilarityResult{};
-      results[j].log_sim = -std::numeric_limits<double>::infinity();
-      exact[j] = 1;
-    }
-    return 0;
-  }
-#ifdef CLUSEQ_HAVE_AVX2
-  const bool use_simd = !force_scalar_ && SimdAvailable();
-#else
-  const bool use_simd = false;
-#endif
-  SparseScanScratch& scratch = GetSparseScratch();
-  scratch.bases.resize(k);
-  scratch.margins.resize(k);
-  for (size_t j = 0; j < k; ++j) {
-    const uint32_t c = candidates[j];
-    scratch.bases[j] = base32_[c];
-    // Admissible per-symbol increment for the remaining-stream bound; the
-    // kernels require it nonnegative (a run can always restart empty).
-    // Callers with a tighter per-candidate cap (the prefilter's
-    // sequence-adaptive margins) pass it in; the model-wide max is the
-    // fallback.
-    scratch.margins[j] =
-        margins.empty() ? (sig_rmax_[c] > 0.0 ? sig_rmax_[c] : 0.0)
-                        : margins[j];
-  }
-
-  static obs::Counter& scan_symbols =
-      obs::MetricsRegistry::Get().GetCounter("frozen_bank.scan_symbols");
-  scan_symbols.Add(symbols.size() * k);
-  size_t abandoned = 0;
-  size_t checks = 0;
-  const size_t block = BlockModels();
-  for (size_t m0 = 0; m0 < k; m0 += block) {
-    const size_t mb = std::min(block, k - m0);
-#ifdef CLUSEQ_HAVE_AVX2
-    if (use_simd) {
-      abandoned += internal::ScanBlockAvx2Bounded(
-          scan_data(), scratch.bases.data() + m0, mb, symbols.data(),
-          symbols.size(), scratch.margins.data() + m0, target, results + m0,
-          exact + m0, &checks);
-      continue;
-    }
-#else
-    (void)use_simd;
-#endif
-    abandoned += internal::ScanBlockScalarBounded(
-        scan_data(), scratch.bases.data() + m0, mb, symbols.data(),
-        symbols.size(), scratch.margins.data() + m0, target, results + m0,
-        exact + m0, &checks);
-  }
-  if (checkpoints != nullptr) *checkpoints += checks;
-  return abandoned;
 }
 
 void FrozenBank::StepAll(SymbolId symbol, uint32_t* rows, double* y,

@@ -227,7 +227,6 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
 void FrozenPst::ComputeDerived() {
   const double neg_inf = -std::numeric_limits<double>::infinity();
   max_symbol_log_ratio_.assign(alphabet_size_, neg_inf);
-  max_log_ratio_ = neg_inf;
   const size_t n = depth_.size();
   for (size_t u = 0; u < n; ++u) {
     const size_t row = u * alphabet_size_;
@@ -235,9 +234,6 @@ void FrozenPst::ComputeDerived() {
       const double r = log_ratio_[row + a];
       if (r > max_symbol_log_ratio_[a]) max_symbol_log_ratio_[a] = r;
     }
-  }
-  for (double r : max_symbol_log_ratio_) {
-    if (r > max_log_ratio_) max_log_ratio_ = r;
   }
 }
 

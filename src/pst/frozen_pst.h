@@ -131,13 +131,9 @@ class FrozenPst {
     return max_symbol_log_ratio_;
   }
 
-  /// max over (state, symbol) of LogRatio — the per-step margin used by the
-  /// in-DP early-abandon bound. Equal to max over max_symbol_log_ratio().
-  double max_log_ratio() const { return max_log_ratio_; }
-
  private:
-  /// Rebuilds max_symbol_log_ratio_/max_log_ratio_ from log_ratio_. Called
-  /// at the end of freezing.
+  /// Rebuilds max_symbol_log_ratio_ from log_ratio_. Called at the end of
+  /// freezing.
   void ComputeDerived();
 
   size_t alphabet_size_ = 0;
@@ -149,7 +145,6 @@ class FrozenPst {
   std::vector<uint32_t> depth_;
   // Derived bound metadata (see accessors above).
   std::vector<double> max_symbol_log_ratio_;
-  double max_log_ratio_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace cluseq

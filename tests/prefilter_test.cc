@@ -9,9 +9,9 @@
 //     smoothing-off models; k > 64 so multiple level-0 blocks run; wide
 //     alphabets and every signature tier the byte budget can select),
 //     with both the scalar and dispatched kernels;
-//   * the sparse bank primitives (ScanCandidates / ScanCandidatesBounded)
-//     match ScanAll on their candidate sets, and abandoned lanes hold
-//     admissible bounds strictly below the target;
+//   * the sparse bank primitive every prefilter survivor runs through
+//     (ScanCandidates) matches ScanAll on its candidate set, including an
+//     empty query and an empty candidate list;
 //   * BestModel equals the exhaustive first-strict-max argmax, including
 //     the exclude-one form seeding uses;
 //   * with pruning off, both calls are the exhaustive oracle itself;
@@ -400,29 +400,26 @@ TEST(PrefilterBankPrimitivesTest, SparseCandidateScansMatchScanAll) {
         EXPECT_EQ(off[candidates[j]].best_end, sparse[j].best_end);
       }
 
-      // Bounded scan: exact lanes are bit-for-bit; abandoned lanes hold an
-      // admissible bound strictly below the target.
-      std::vector<double> scores;
-      for (const uint32_t c : candidates) scores.push_back(off[c].log_sim);
-      std::sort(scores.begin(), scores.end());
-      const double target = scores.empty() ? 0.0 : scores[scores.size() / 2];
-      std::vector<SimilarityResult> bounded(candidates.size());
-      std::vector<uint8_t> exact(candidates.size());
-      bank.ScanCandidatesBounded(query, candidates, target, bounded.data(),
-                                 exact.data());
-      for (size_t j = 0; j < candidates.size(); ++j) {
-        const SimilarityResult& want = off[candidates[j]];
-        if (exact[j]) {
-          EXPECT_EQ(want.log_sim, bounded[j].log_sim);
-          EXPECT_EQ(want.best_begin, bounded[j].best_begin);
-          EXPECT_EQ(want.best_end, bounded[j].best_end);
-        } else {
-          EXPECT_GE(bounded[j].log_sim, want.log_sim);
-          EXPECT_LT(bounded[j].log_sim, target);
-        }
-        // Every lane whose true score reaches the target must be exact.
-        if (want.log_sim >= target) EXPECT_TRUE(exact[j] != 0);
-      }
+      // An empty candidate list scores nothing and writes no slot.
+      SimilarityResult untouched{7.0, 1, 2};
+      bank.ScanCandidates(query, {}, &untouched);
+      EXPECT_EQ(untouched.log_sim, 7.0);
+      EXPECT_EQ(untouched.best_begin, 1u);
+      EXPECT_EQ(untouched.best_end, 2u);
+    }
+
+    // An empty query scores -inf with an empty segment, as ScanAll does.
+    const Symbols empty;
+    const std::vector<SimilarityResult> off = bank.ScanAll(empty);
+    const std::vector<uint32_t> candidates = {0, 5, 69};
+    std::vector<SimilarityResult> sparse(candidates.size(),
+                                         SimilarityResult{7.0, 1, 2});
+    bank.ScanCandidates(empty, candidates, sparse.data());
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      EXPECT_EQ(sparse[j].log_sim, -std::numeric_limits<double>::infinity());
+      EXPECT_EQ(off[candidates[j]].log_sim, sparse[j].log_sim);
+      EXPECT_EQ(off[candidates[j]].best_begin, sparse[j].best_begin);
+      EXPECT_EQ(off[candidates[j]].best_end, sparse[j].best_end);
     }
   }
 }
@@ -431,7 +428,7 @@ SequenceDatabase SkewedDb(uint64_t seed) {
   // Separable enough (wide alphabet, tight spread) that admissible bounds
   // actually prune cross-cluster pairs — the vacuousness guard below
   // depends on it — while outliers and the length skew keep the residual
-  // restoration and early-abandon paths busy.
+  // restoration path busy.
   SyntheticDatasetOptions opts;
   opts.num_clusters = 6;
   opts.sequences_per_cluster = 12;
@@ -499,17 +496,12 @@ TEST(PrefilterClustererTest, OnOffBitForBitAcrossThreadCounts) {
                          " threads")
                             .c_str());
     // Guard against a vacuous pass: the prefilter must actually have
-    // pruned or early-abandoned something in these runs, not just been
-    // gated off (exactly that hid a lane-compaction bug in the bounded
-    // scalar kernel once).
+    // pruned something in these runs, not just been gated off.
     double total_skip = 0.0;
-    size_t total_early = 0;
     for (const IterationStats& it : result.iteration_stats) {
       total_skip += it.prefilter_skip_ratio;
-      total_early += it.prefilter_dp_early_exits;
     }
-    EXPECT_GT(total_skip + static_cast<double>(total_early), 0.0)
-        << threads << " threads";
+    EXPECT_GT(total_skip, 0.0) << threads << " threads";
   }
 }
 
@@ -547,10 +539,7 @@ TEST(PrefilterClustererTest, OnOffBitForBitWithThresholdAdjustment) {
     // whole point of the censored floor is pruning *during* adjustment.
     ASSERT_FALSE(result.iteration_stats.empty());
     const IterationStats& first = result.iteration_stats.front();
-    EXPECT_GT(first.prefilter_skip_ratio +
-                  static_cast<double>(first.prefilter_dp_early_exits),
-              0.0)
-        << threads << " threads";
+    EXPECT_GT(first.prefilter_skip_ratio, 0.0) << threads << " threads";
   }
 }
 

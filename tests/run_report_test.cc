@@ -78,8 +78,6 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
             report->prefilter_enabled);
   EXPECT_DOUBLE_EQ(prefilter->Find("skip_ratio")->number,
                    report->prefilter_skip_ratio);
-  EXPECT_EQ(prefilter->Find("early_exits")->number,
-            static_cast<double>(report->prefilter_early_exits));
   EXPECT_TRUE(report->prefilter_enabled);  // SmallOptions leaves defaults.
 
   const obs::JsonValue* iterations = root.Find("iterations");
@@ -119,8 +117,6 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
                      expect.consolidate_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("prefilter_skip_ratio")->number,
                      expect.prefilter_skip_ratio);
-    EXPECT_EQ(stats->Find("prefilter_dp_early_exits")->number,
-              static_cast<double>(expect.prefilter_dp_early_exits));
     // Per-iteration metrics snapshot rides along with the stats.
     const obs::JsonValue* metrics = iterations->array[i].Find("metrics");
     ASSERT_NE(metrics, nullptr) << "iteration " << i;
