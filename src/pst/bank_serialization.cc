@@ -1,5 +1,6 @@
 #include "pst/bank_serialization.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -109,8 +110,18 @@ SectionEntry ReadSectionEntry(const char* data, size_t table_index) {
   return e;
 }
 
+/// A byte range whose CRC32C the load already computed.
+struct HashedRange {
+  size_t offset, size;
+  uint32_t crc;
+};
+
+/// Checks section `table_index` against its canonical place, then its CRC.
+/// The CRC of `hashed` is reused when it covers exactly the canonical
+/// range; any other range is hashed afresh.
 Status CheckSection(const char* data, size_t table_index, uint32_t want_id,
-                    size_t want_offset, size_t want_size) {
+                    size_t want_offset, size_t want_size,
+                    const HashedRange& hashed) {
   SectionEntry e = ReadSectionEntry(data, table_index);
   if (e.id != want_id || e.reserved != 0 || e.reserved2 != 0) {
     return Corrupt("section table entry malformed");
@@ -118,9 +129,11 @@ Status CheckSection(const char* data, size_t table_index, uint32_t want_id,
   if (e.offset != want_offset || e.size != want_size) {
     return Corrupt("section offsets disagree with canonical layout");
   }
-  if (Crc32c(data + want_offset, want_size) != e.crc) {
-    return Corrupt("section checksum mismatch");
-  }
+  const uint32_t crc =
+      hashed.offset == want_offset && hashed.size == want_size
+          ? hashed.crc
+          : Crc32c(data + want_offset, want_size);
+  if (crc != e.crc) return Corrupt("section checksum mismatch");
   return Status::OK();
 }
 
@@ -197,6 +210,9 @@ class BankSerializer {
     }
     const char* entry_bytes =
         reinterpret_cast<const char*>(bank.scan_data());
+    // The entries dominate the file; hash them once and derive the file
+    // CRC from it by combine.
+    const uint32_t entries_crc = Crc32c(entry_bytes, layout.entries_size);
 
     std::string out;
     out.reserve(layout.file_size);
@@ -213,14 +229,14 @@ class BankSerializer {
     AppendSectionEntry(&out, kSectionBases, layout.bases_offset,
                        layout.bases_size, Crc32c(bases));
     AppendSectionEntry(&out, kSectionEntries, layout.entries_offset,
-                       layout.entries_size,
-                       Crc32c(entry_bytes, layout.entries_size));
+                       layout.entries_size, entries_crc);
     out += meta;
     out += bases;
     out.append(layout.entries_offset - out.size(), '\0');  // Alignment pad.
+    const uint32_t file_crc = Crc32cCombine(Crc32c(out.data(), out.size()),
+                                            entries_crc, layout.entries_size);
     out.append(entry_bytes, layout.entries_size);
 
-    const uint32_t file_crc = Crc32c(out.data(), out.size());
     out.append(kFooterMagic, sizeof(kFooterMagic));
     AppendPod(&out, file_crc);
     AppendPod(&out, uint32_t{0});
@@ -236,8 +252,8 @@ class BankSerializer {
   static Status Load(const char* data, size_t size,
                      std::shared_ptr<const void> storage, size_t num_threads,
                      FrozenBank* bank) {
-    // Framing first: nothing else is touched before the whole-file CRC
-    // verifies, so every later read is over checksummed bytes.
+    // Framing first: nothing else is trusted before the whole-file CRC
+    // verifies, so every later check reads checksummed bytes.
     constexpr size_t kMinSize =
         kSectionsOffset + 2 * sizeof(uint64_t) + kFbankFooterBytes;
     if (size < kMinSize) return Corrupt("file too small");
@@ -269,7 +285,18 @@ class BankSerializer {
     ReadPodAt(data, footer_offset + 8, &file_crc);
     ReadPodAt(data, footer_offset + 12, &footer_reserved);
     if (footer_reserved != 0) return Corrupt("footer reserved nonzero");
-    if (Crc32c(data, footer_offset) != file_crc) {
+    // One pass over the bytes: the prefix before the entries section and
+    // the entries are hashed separately and combined into the file CRC;
+    // the entries' CRC is then reused by their section check. The split
+    // comes from the not yet validated section table, so it is clamped
+    // into the file; any split gives the same file CRC.
+    const size_t split = static_cast<size_t>(
+        std::min<uint64_t>(ReadSectionEntry(data, 2).offset, footer_offset));
+    const HashedRange entries_hash = {split, footer_offset - split,
+                                      Crc32c(data + split,
+                                             footer_offset - split)};
+    if (Crc32cCombine(Crc32c(data, split), entries_hash.crc,
+                      entries_hash.size) != file_crc) {
       return Corrupt("file checksum mismatch");
     }
 
@@ -319,13 +346,14 @@ class BankSerializer {
     const Layout layout = ComputeLayout(k, static_cast<size_t>(total_entries));
     if (layout.file_size != size) return Corrupt("layout size mismatch");
     CLUSEQ_RETURN_NOT_OK(CheckSection(data, 0, kSectionMeta,
-                                      layout.meta_offset, layout.meta_size));
+                                      layout.meta_offset, layout.meta_size,
+                                      entries_hash));
     CLUSEQ_RETURN_NOT_OK(CheckSection(data, 1, kSectionBases,
-                                      layout.bases_offset,
-                                      layout.bases_size));
+                                      layout.bases_offset, layout.bases_size,
+                                      entries_hash));
     CLUSEQ_RETURN_NOT_OK(CheckSection(data, 2, kSectionEntries,
                                       layout.entries_offset,
-                                      layout.entries_size));
+                                      layout.entries_size, entries_hash));
     for (size_t m = 0; m < k; ++m) {
       uint64_t stored_base = 0;
       ReadPodAt(data, layout.bases_offset + m * 8, &stored_base);

@@ -3,9 +3,11 @@
 //
 // The bank's arena is already position-independent bytes (Entry::next
 // holds model-local row offsets), so the file is the arena plus a layout
-// description, and loading is validation plus a pointer fixup: sharded
+// description, and loading is one checksum pass, validation, a pointer
+// fixup and a rebuild of the derived prefilter signatures: sharded
 // serving workers that mmap the same .fbank share page-cache pages
-// instead of each rebuilding k models.
+// instead of each rebuilding k models. At k = 1024 the signature rebuild
+// is the largest of these (DESIGN.md §11 has the measured breakdown).
 //
 // Layout (little-endian; every multi-byte field at its natural offset):
 //
@@ -25,13 +27,15 @@
 //                       byte before the footer) | u32 reserved
 //
 // Loads verify, in order: header magic/version/flags/CRC, declared vs
-// actual file size, footer magic + whole-file CRC, the section table
-// against the recomputed canonical layout, per-section CRCs, size caps on
-// every count before any allocation, the bases prefix sums, and finally
-// every arena entry (next offset in range and row-aligned, log-ratio not
-// NaN/+inf, padding zero). No on-disk byte pattern reaches ScanAll
-// unchecked; failures return Status::Corruption and bump the
-// persistence.corruption_detected counter. Writes go through
+// actual file size, footer magic + whole-file CRC (combined from separate
+// CRCs of the bytes before the entries section and of the entries, so the
+// entries' section check below reuses their CRC and every byte is hashed
+// once), the section table against the recomputed canonical layout,
+// per-section CRCs, size caps on every count before any allocation, the
+// bases prefix sums, and finally every arena entry (next offset in range
+// and row-aligned, log-ratio not NaN/+inf, padding zero). No on-disk byte
+// pattern reaches ScanAll unchecked; failures return Status::Corruption
+// and bump the persistence.corruption_detected counter. Writes go through
 // WriteFileAtomic (util/file_io.h), so a crashed saver never leaves a
 // partial .fbank at the final path.
 

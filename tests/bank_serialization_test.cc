@@ -6,7 +6,9 @@
 
 #include "pst/bank_serialization.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "pst/frozen_pst.h"
 #include "pst/pst.h"
 #include "seq/background_model.h"
+#include "util/crc32c.h"
 #include "util/file_io.h"
 #include "util/rng.h"
 
@@ -192,6 +195,44 @@ TEST_F(BankSerializationTest, MappedBankStepAllAndReserialize) {
   FrozenBank reloaded;
   ASSERT_TRUE(LoadFrozenBank(again, &reloaded).ok());
   ExpectSameResults(bank, reloaded, query, "reserialized");
+}
+
+TEST_F(BankSerializationTest, SavedChecksumsMatchThePortableWalk) {
+  // Save derives the file CRC from the entries' CRC by combine; every
+  // stored checksum must still equal a plain walk over its range. The
+  // entries span several hardware lane blocks.
+  Rng rng(17);
+  const size_t alphabet = 8;
+  BackgroundModel background = SkewedBackground(alphabet, &rng);
+  FrozenBank bank(DiverseModels(70, alphabet, 5, background, &rng));
+  std::string blob;
+  ASSERT_TRUE(SaveFrozenBank(bank, &blob).ok());
+  auto u32_at = [&](size_t at) {
+    uint32_t v;
+    std::memcpy(&v, blob.data() + at, sizeof(v));
+    return v;
+  };
+  auto u64_at = [&](size_t at) {
+    uint64_t v;
+    std::memcpy(&v, blob.data() + at, sizeof(v));
+    return static_cast<size_t>(v);
+  };
+  auto portable = [&](size_t offset, size_t size) {
+    return internal::Crc32cPortable(0, blob.data() + offset, size);
+  };
+  EXPECT_EQ(u32_at(kFbankHeaderBytes - 4),
+            portable(0, kFbankHeaderBytes - 4));
+  for (size_t i = 0; i < kFbankSectionCount; ++i) {
+    const size_t entry = kFbankHeaderBytes + i * kFbankSectionEntryBytes;
+    EXPECT_EQ(u32_at(entry + 24), portable(u64_at(entry + 8),
+                                           u64_at(entry + 16)))
+        << "section " << i;
+  }
+  const size_t entries_size =
+      u64_at(kFbankHeaderBytes + 2 * kFbankSectionEntryBytes + 16);
+  EXPECT_GT(entries_size, 3 * internal::kCrc32cLaneBytes);
+  EXPECT_EQ(u32_at(blob.size() - 8),
+            portable(0, blob.size() - kFbankFooterBytes));
 }
 
 TEST_F(BankSerializationTest, EmptyBankIsRejected) {

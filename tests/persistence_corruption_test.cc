@@ -158,21 +158,33 @@ void Poke(std::string* b, size_t off, T v) {
   std::memcpy(b->data() + off, &v, sizeof(v));
 }
 
-/// Recomputes the header, per-section and whole-file CRCs of an .fbank
-/// blob whose fields were tampered with.
-void FixupFbankCrcs(std::string* blob) {
+void FixupFbankHeaderCrc(std::string* blob) {
   Poke<uint32_t>(blob, kFbankHeaderBytes - 4,
                  Crc32c(blob->data(), kFbankHeaderBytes - 4));
+}
+
+void FixupFbankSectionCrcs(std::string* blob) {
   for (size_t i = 0; i < kFbankSectionCount; ++i) {
     const size_t entry = kFbankHeaderBytes + i * kFbankSectionEntryBytes;
     const size_t offset = static_cast<size_t>(ReadU64(*blob, entry + 8));
     const size_t size = static_cast<size_t>(ReadU64(*blob, entry + 16));
-    if (offset + size <= blob->size()) {
+    if (offset <= blob->size() && size <= blob->size() - offset) {
       Poke<uint32_t>(blob, entry + 24, Crc32c(blob->data() + offset, size));
     }
   }
+}
+
+void FixupFbankFileCrc(std::string* blob) {
   Poke<uint32_t>(blob, blob->size() - 8,
                  Crc32c(blob->data(), blob->size() - kFbankFooterBytes));
+}
+
+/// Recomputes the header, per-section and whole-file CRCs of an .fbank
+/// blob whose fields were tampered with.
+void FixupFbankCrcs(std::string* blob) {
+  FixupFbankHeaderCrc(blob);
+  FixupFbankSectionCrcs(blob);
+  FixupFbankFileCrc(blob);
 }
 
 size_t FbankSectionOffset(const std::string& blob, size_t i) {
@@ -306,6 +318,60 @@ TEST(PersistenceCorruptionTest, FbankHostileEntriesWithFixedCrcs) {
     blob.replace(t1, kFbankSectionEntryBytes, a);
     FixupFbankCrcs(&blob);
     EXPECT_TRUE(TryLoadBank(blob).IsCorruption()) << "shuffled sections";
+  }
+}
+
+// The load hashes each byte once: the entries section's CRC feeds both the
+// whole-file check (by combine) and the section check. Each check must
+// still catch a stale value on its own, and a section table that moves the
+// split point must fail exactly as it would without the split.
+
+/// `clean` with its first entry's log-ratio changed to another finite value.
+std::string WithChangedRatio(const std::string& clean) {
+  std::string blob = clean;
+  const size_t entries = FbankSectionOffset(clean, 2);
+  double ratio;
+  std::memcpy(&ratio, clean.data() + entries, sizeof(ratio));
+  Poke<double>(&blob, entries, ratio == 0.5 ? 0.25 : 0.5);
+  return blob;
+}
+
+TEST(PersistenceCorruptionTest, FbankStaleEntriesCrcBehindFixedFileCrc) {
+  std::string blob = WithChangedRatio(Fix().fbank_blob);
+  FixupFbankHeaderCrc(&blob);
+  FixupFbankFileCrc(&blob);
+  const Status st = TryLoadBank(blob);
+  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(st.message(), ".fbank section checksum mismatch");
+}
+
+TEST(PersistenceCorruptionTest, FbankStaleFileCrcBehindFixedSectionCrcs) {
+  std::string blob = WithChangedRatio(Fix().fbank_blob);
+  FixupFbankHeaderCrc(&blob);
+  FixupFbankSectionCrcs(&blob);
+  const Status st = TryLoadBank(blob);
+  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(st.message(), ".fbank file checksum mismatch");
+}
+
+TEST(PersistenceCorruptionTest, FbankEntriesOffsetOutsideTheBodyWithFixedCrcs) {
+  const std::string& clean = Fix().fbank_blob;
+  const size_t offset_field =
+      kFbankHeaderBytes + 2 * kFbankSectionEntryBytes + 8;
+  const size_t footer = clean.size() - kFbankFooterBytes;
+  for (uint64_t offset :
+       {uint64_t{0}, uint64_t{16}, uint64_t{kFbankHeaderBytes},
+        uint64_t{footer + 1}, uint64_t{clean.size()}, uint64_t{1} << 62,
+        ~uint64_t{0}}) {
+    std::string blob = clean;
+    Poke<uint64_t>(&blob, offset_field, offset);
+    FixupFbankCrcs(&blob);
+    const Status st = TryLoadBank(blob);
+    ASSERT_TRUE(st.IsCorruption()) << "offset " << offset;
+    // The error of a load that hashes the file in one unsplit pass.
+    EXPECT_EQ(st.message(),
+              ".fbank section offsets disagree with canonical layout")
+        << "offset " << offset;
   }
 }
 
