@@ -34,11 +34,20 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (cluseq::ParseFlag(arg, "scale", &value)) {
-      args.scale = std::strtod(value.c_str(), nullptr);
+      if (!cluseq::ParseDouble(value, &args.scale)) {
+        std::fprintf(stderr, "--scale: expected a number, got '%s'\n",
+                     value.c_str());
+        std::exit(2);
+      }
     } else if (arg == "--csv") {
       args.csv = true;
     } else if (cluseq::ParseFlag(arg, "seed", &value)) {
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!cluseq::ParseUint64(value, &args.seed)) {
+        std::fprintf(stderr,
+                     "--seed: expected a non-negative integer, got '%s'\n",
+                     value.c_str());
+        std::exit(2);
+      }
     } else if (cluseq::ParseFlag(arg, "axis", &value)) {
       args.axis = value;
     } else {

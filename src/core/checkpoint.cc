@@ -344,9 +344,9 @@ uint64_t FingerprintOptions(const CluseqOptions& options) {
   h = FnvMixDouble(h, options.pst.smoothing_p_min);
   // Algorithmic because it sets the censor floor of the §4.6 adjuster's
   // histogram while the adjuster is live — a different window walks a
-  // different threshold trajectory. The prefilter perf knobs
-  // (signature_budget_bytes, prefilter_prefix) deliberately stay out: they
-  // never change any output, so resuming under different ones is legal.
+  // different threshold trajectory. The prefilter perf knob
+  // signature_budget_bytes deliberately stays out: it never changes any
+  // output, so resuming under a different one is legal.
   h = FnvMixDouble(h, options.adjust_bound_window);
   return h;
 }

@@ -236,12 +236,6 @@ void CluseqClusterer::RebuildClusterPsts() {
   // insertion-order-dependent pruning kick in, so then we always rebuild.
   const bool can_skip = options_.pst.max_memory_bytes == 0;
   CLUSEQ_TRACE_SPAN("cluseq.rebuild_psts");
-  // Freeze every stale summary up front (independent per-cluster tasks);
-  // the segment recomputation below reads only compiled snapshots, which
-  // also spares the workers from contending on live-tree pointer chasing.
-  // A stale empty cluster frozen here would have been frozen later in the
-  // same iteration anyway, so the re-freeze totals are unchanged.
-  RefreshFrozen();
   const size_t kc = clusters_.size();
   // Flatten (cluster, member) pairs so one cost-weighted pass balances the
   // whole rebuild at once; fanning out per cluster would serialize on small
@@ -259,6 +253,9 @@ void CluseqClusterer::RebuildClusterPsts() {
       items.push_back({static_cast<uint32_t>(ci), static_cast<uint32_t>(mi)});
     }
   }
+  // Segments are scored on the live trees (bit-for-bit what their frozen
+  // snapshots score): freezing a changed tree here would be wasted work,
+  // since it is reset below and frozen again before the next scan.
   ParallelForWeighted(
       items.size(), options_.num_threads,
       [&](size_t i) -> uint64_t {
@@ -269,7 +266,8 @@ void CluseqClusterer::RebuildClusterPsts() {
         const Item& it = items[i];
         const Cluster& cluster = clusters_[it.cluster];
         const size_t s = cluster.members()[it.member];
-        SimilarityResult sim = ComputeSimilarity(*cluster.frozen(), db_.Symbols(s));
+        SimilarityResult sim =
+            ComputeSimilarity(cluster.pst(), background_, db_.Symbols(s));
         segments[it.cluster][it.member] = {sim.best_begin, sim.best_end};
       });
   // Clusters are disjoint state and each is rebuilt by exactly one task in
@@ -362,8 +360,7 @@ void CluseqClusterer::Recluster() {
       // adjuster histogram ever look at. With the prefilter off this is the
       // exhaustive scan and every slot is exact.
       CLUSEQ_TRACE_SPAN("cluseq.prefilter_scan");
-      const ScanPrefilter prefilter(&bank_, options_.prefilter_prefix,
-                                    prefilter_active_);
+      const ScanPrefilter prefilter(&bank_, prefilter_active_);
       std::atomic<uint64_t> skipped{0};
       std::atomic<uint64_t> l15_pruned{0};
       // Scan cost is linear in sequence length; weighted chunking keeps a
@@ -1128,8 +1125,7 @@ int32_t CluseqClusterer::Classify(std::span<const SymbolId> symbols,
   // and nothing is served.
   if (bank_.num_models() == clusters_.size()) {
     // Argmax scan: exact best value, smallest-index tie-break.
-    const ScanPrefilter prefilter(&bank_, options_.prefilter_prefix,
-                                  options_.prefilter);
+    const ScanPrefilter prefilter(&bank_, options_.prefilter);
     best_pos = prefilter.BestModel(symbols, &best);
   }
   if (log_sim != nullptr) *log_sim = best;

@@ -90,16 +90,17 @@ struct CluseqOptions {
   bool within_scan_updates = false;
 
   /// Multi-level candidate pruning in front of the banked scan
-  /// (ScanPrefilter, DESIGN.md §14): admissible block/signature/prefix-DP
-  /// upper bounds skip clusters that provably cannot reach the threshold,
-  /// and survivors run the exact sparse DP. Outputs are bit-for-bit
-  /// identical with the prefilter on or off — every skip is justified by
-  /// an admissible bound — so this is purely a performance switch (the off
-  /// path is the correctness oracle). Inactive in the within-scan-updates
-  /// re-cluster scan, which scores live trees. While the §4.6 threshold
-  /// adjuster is live, the scan prunes against the censored floor
-  /// log t − adjust_bound_window instead of log t, so the adjuster's
-  /// histogram sees exact scores (see adjust_bound_window).
+  /// (ScanPrefilter, DESIGN.md §14): admissible signature Kadane bounds —
+  /// a dense coarse-grid pass over all clusters, then one fine-grid refine
+  /// of its survivors — skip clusters that provably cannot reach the
+  /// threshold, and survivors run the exact sparse DP. Outputs are
+  /// bit-for-bit identical with the prefilter on or off — every skip is
+  /// justified by an admissible bound — so this is purely a performance
+  /// switch (the off path is the correctness oracle). Inactive in the
+  /// within-scan-updates re-cluster scan, which scores live trees. While
+  /// the §4.6 threshold adjuster is live, the scan prunes against the
+  /// censored floor log t − adjust_bound_window instead of log t, so the
+  /// adjuster's histogram sees exact scores (see adjust_bound_window).
   bool prefilter = true;
 
   /// Width W of the §4.6 histogram window when the prefilter runs during
@@ -119,9 +120,10 @@ struct CluseqOptions {
   /// tier.
   size_t signature_budget_bytes = FrozenBank::kDefaultSignatureBudgetBytes;
 
-  /// Symbols covered by the prefilter's level-1.5 truncated-prefix DP
-  /// bound (ScanPrefilter::kDefaultL15Prefix = 96); 0 disables that level.
-  /// Purely a perf switch — the bound is admissible at any prefix.
+  /// Retired with the truncated-prefix level-1.5 bound: ignored (not
+  /// settable from the CLI, not validated, not in the checkpoint
+  /// fingerprint); goes at the next benchmark change, whose harness still
+  /// reads it.
   size_t prefilter_prefix = 96;
 
   /// c: significance threshold for PST nodes (paper rule of thumb: >= 30).
@@ -230,7 +232,7 @@ struct IterationStats {
   /// Fraction of the n × k sequence-cluster pairs the prefilter skipped
   /// without touching any model rows (0 when the prefilter was inactive).
   double prefilter_skip_ratio = 0.0;
-  /// Pairs pruned by the level-1.5 truncated-prefix DP bound (a subset of
+  /// Pairs pruned by the level-1.5 fine-grid Kadane bound (a subset of
   /// the skipped pairs counted in prefilter_skip_ratio).
   size_t prefilter_l15_pruned = 0;
   /// Per-phase perf-counter and getrusage deltas (seed / scan / join /

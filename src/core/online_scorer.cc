@@ -92,8 +92,7 @@ void OnlineScorer::BatchClassify(const SequenceStore& store,
   num_threads = ResolveThreads(num_threads);
   // Scan cost is linear in record length; weighted chunking keeps one long
   // record from parking the other workers.
-  const ScanPrefilter bank_prefilter(&bank_, ScanPrefilter::kDefaultL15Prefix,
-                                     prefilter);
+  const ScanPrefilter bank_prefilter(&bank_, prefilter);
   ParallelForWeighted(
       n, num_threads,
       [&store](size_t i) -> uint64_t { return store.Length(i); },

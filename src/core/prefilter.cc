@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -23,22 +22,15 @@ constexpr size_t kMaxBoundedLen = size_t{1} << 23;
 
 // Per-thread scratch, reused across calls: every buffer only ever grows,
 // so the steady state allocates nothing per sequence (pinned by the
-// workspace-probe regression test). The stamp/count arrays are sized to
-// the bank's signature code space and reset lazily via the epoch counter,
-// so a scan costs O(distinct codes), not O(code space).
+// workspace-probe regression test).
 struct Workspace {
-  std::vector<uint32_t> stamp;
-  std::vector<double> count;
-  std::vector<uint32_t> touched;
-  uint32_t epoch = 0;
-
-  std::vector<uint32_t> seq_codes;   // per-position codes (level 1.5)
+  std::vector<uint32_t> seq_codes;   // per-position signature codes
   std::vector<const uint8_t*> cols;  // per-position dense column pointers
   std::vector<int32_t> acc;          // dense level-1 integer Kadane maxima
   std::vector<uint32_t> candidates;
   std::vector<SimilarityResult> tmp;
-  std::vector<uint8_t> model_exact;
-  std::vector<double> model_value;
+  std::vector<SimilarityResult> model_result;  // BestModel's exact scores
+  std::vector<uint8_t> model_state;            // ModelState per model
 };
 
 Workspace& GetWorkspace() {
@@ -46,11 +38,14 @@ Workspace& GetWorkspace() {
   return ws;
 }
 
+// Where a model stands in the residual sweep: still only bounded, scored
+// exactly, or removed from consideration (BestModel's exclude_model).
+enum ModelState : uint8_t { kPending = 0, kExact = 1, kExcluded = 2 };
+
 // Geometry of the bank's signature tier, captured once per scan.
 struct SigShape {
   size_t k = 0;
   size_t alphabet = 0;
-  size_t order = 0;       // symbols per signature code
   size_t code_space = 0;  // alphabet^order
   size_t leads = 0;       // positions capped by maxsym (min'd vs length)
 };
@@ -59,32 +54,17 @@ SigShape ShapeOf(const FrozenBank& bank, size_t len) {
   SigShape s;
   s.k = bank.num_models();
   s.alphabet = bank.alphabet_size();
-  s.order = bank.signature_order();
   s.code_space = bank.signature_code_space();
   s.leads = std::min(bank.signature_lead_positions(), len);
   return s;
 }
 
-// Counts the codes driving the level-1 bounds: position i ≥ leads packs
-// its (order − 1) preceding symbols and s_i into one code, most
-// significant first (for order 1 the code is just s_i). Lead positions
-// are handled by the callers via the maxsym tables. Also records every
-// position's code (lead positions record the bare symbol) for the
-// level-1.5 DP — truncated to a prefix at the threshold gate, full
-// length in the residual refine.
-void CountCodes(std::span<const SymbolId> symbols, const SigShape& s,
-                Workspace& ws) {
-  if (ws.stamp.size() < s.code_space) {
-    ws.stamp.assign(s.code_space, 0);
-    ws.count.resize(s.code_space);
-    ws.epoch = 0;
-  }
-  ++ws.epoch;
-  if (ws.epoch == 0) {  // Wrapped: every stale stamp now looks current.
-    std::fill(ws.stamp.begin(), ws.stamp.end(), 0);
-    ws.epoch = 1;
-  }
-  ws.touched.clear();
+// Records every position's signature code: position i ≥ leads packs its
+// (order − 1) preceding symbols and s_i into one code, most significant
+// first (for order 1 the code is just s_i); lead positions record the
+// bare symbol, which indexes the maxsym tables.
+void EncodePositions(std::span<const SymbolId> symbols, const SigShape& s,
+                     Workspace& ws) {
   ws.seq_codes.clear();
   const size_t mod = s.code_space / s.alphabet;  // alphabet^(order − 1)
   size_t code = 0;
@@ -95,12 +75,6 @@ void CountCodes(std::span<const SymbolId> symbols, const SigShape& s,
   for (size_t i = s.leads; i < symbols.size(); ++i) {
     code = (code % mod) * s.alphabet + symbols[i];
     ws.seq_codes.push_back(static_cast<uint32_t>(code));
-    if (ws.stamp[code] != ws.epoch) {
-      ws.stamp[code] = ws.epoch;
-      ws.count[code] = 0.0;
-      ws.touched.push_back(static_cast<uint32_t>(code));
-    }
-    ws.count[code] += 1.0;
   }
 }
 
@@ -150,101 +124,162 @@ inline double UbFromZ(int32_t z, double up) {
   return base + 1e-9 * (1.0 + base);
 }
 
-// Smallest integer Kadane maximum whose converted bound beats `value`
-// (strictly, or ties when `strict` is false). UbFromZ is monotone
-// nondecreasing in z, so one integer compare against this floor replays
-// the double test bit-exactly — the O(k) passes over the bounds stay in
-// int32 and never touch the result slots. Values even a zero bound
-// beats return INT32_MIN (everything passes); values no representable
-// bound reaches return INT32_MAX (a real maximum is capped by
-// len · kSignaturePosLevels ≪ 2^31, so nothing passes).
+// True when a bound still beats the best exactly-known score: strictly
+// for the threshold scan, or on ties too for the argmax (a model whose
+// bound ties the running best could attain it and win the
+// ascending-index tie-break).
+inline bool Beats(double bound, double best, bool strict) {
+  return strict ? bound > best : bound >= best;
+}
+
+// Smallest integer Kadane maximum whose converted bound Beats `value`.
+// UbFromZ is monotone nondecreasing in z, so one integer compare against
+// this floor replays the double test bit-exactly — the O(k) passes over
+// the bounds stay in int32 and never touch the result slots. Values even
+// a zero bound beats return INT32_MIN (everything passes); values no
+// representable bound reaches return INT32_MAX (a real maximum is capped
+// by len · kSignaturePosLevels ≪ 2^31, so nothing passes).
 int32_t ZBoundFloor(double value, double up, bool strict) {
-  const auto pass = [value, strict](double ub) {
-    return strict ? ub > value : ub >= value;
-  };
-  if (pass(0.0)) return std::numeric_limits<int32_t>::min();
+  if (Beats(0.0, value, strict)) return std::numeric_limits<int32_t>::min();
   const double approx = value / up;
   if (!(approx < 2147483000.0)) return std::numeric_limits<int32_t>::max();
   // Start safely below the crossover (the pad shifts it by at most a few
   // units even at the int32 extreme) and walk up to the first pass.
   int64_t g = static_cast<int64_t>(approx) - 8;
   if (g < 1) g = 1;
-  while (!pass(UbFromZ(static_cast<int32_t>(g), up))) ++g;
+  while (!Beats(UbFromZ(static_cast<int32_t>(g), up), value, strict)) ++g;
   return static_cast<int32_t>(g);
 }
 
-// Fine-grid level-1 bound for one model: the same positional-cap sum as
-// the dense pass, but on the model-major int16 tables — a grid 4× or more
-// finer than the bank-global u8 scale, so it often retires a residual
-// model the coarse bound could not, at O(leads + touched) cost. Lead
-// positions sum the unquantized per-symbol maxima's positive parts;
-// context positions accumulate count · cap16 exactly in int64 (|cap16| <
-// 2^15 and Σcount < 2^24, so no overflow), and qsum · kSignatureQuantStep
-// is exact in double. The deterministic pad absorbs the FP rounding of
-// the lead sum and final add against the scan kernels' own summation
-// order, keeping the bound admissible.
-double OnDemandUb1(const FrozenBank& bank, size_t m,
-                   std::span<const SymbolId> symbols, const SigShape& s,
-                   const Workspace& ws) {
-  const double* maxsym = bank.signature_max_symbol(m).data();
-  double lead = 0.0;
-  for (size_t i = 0; i < s.leads; ++i) {
-    const double v = maxsym[symbols[i]];
-    if (v > 0.0) lead += v;
-  }
-  const int16_t* cap = bank.signature_cap_q(m).data();
-  int64_t qsum = 0;
-  for (const uint32_t code : ws.touched) {
-    const int16_t q = cap[code];
-    if (q > 0) qsum += static_cast<int64_t>(ws.count[code]) * q;
-  }
-  const double raw =
-      lead + static_cast<double>(qsum) * FrozenBank::kSignatureQuantStep;
-  return raw + 1e-9 * (1.0 + std::fabs(raw));
-}
-
-// Level 1.5: truncated-prefix Kadane over the first `p` symbols using the
-// model's unclamped caps x̂_i (maxsym for leads, the tier cap otherwise).
-// The best true window either closes inside the prefix — bounded by the
-// prefix DP's Ẑ, since the caps dominate per position — or crosses it,
-// where its prefix part is ≤ max(Ŷ, 0) and its tail is ≤ the level-1 mass
-// beyond the prefix, ub1 − Σ_{i<P} max(x̂_i, 0). This sees cap *ordering*,
-// which the positional sum cannot: a model whose good caps never chain
-// into one window is pruned here. With p = full length every window
-// closes inside the prefix, the tail vanishes (pass ub1 = 0), and the
-// result is the tightest bound the signature tier can express — the
-// residual refine uses that form. The pad absorbs the FP summation-order
-// difference between the tail subtraction and the level-1 sum, keeping
-// the bound admissible; it is a deterministic function of the operands,
-// so results stay thread-count invariant.
-double L15Bound(const FrozenBank& bank, size_t m, double ub1, size_t p,
-                const SigShape& s, const Workspace& ws) {
+// Level 1.5: the full-length Kadane over one model's fine caps — the
+// unquantized per-symbol maxima for the leads, the model-major int16 tier
+// caps (a grid ~50× finer than the dense pass's u8 scale) after. It is
+// the same max-window recurrence the §4.3 DP runs, over values that
+// dominate the DP's terms position by position, so it is the tightest
+// bound the signature tier can express. The scan kernels make the same
+// restart/extend and Z-update decisions (an ordered compare is false on
+// NaN, keeping `extend`), so a NaN per-symbol maximum freezes the window
+// here exactly where it freezes theirs; a NaN or nonpositive maximum
+// clamps to 0, as the dense bound does. q · kSignatureQuantStep is exact
+// in double, and the pad absorbs the FP rounding of the lead terms
+// against the kernels' own summation; it is a deterministic function of
+// the operands, so results stay thread-count invariant.
+double FineKadaneBound(const FrozenBank& bank, size_t m, const SigShape& s,
+                       const Workspace& ws) {
   const double* maxsym = bank.signature_max_symbol(m).data();
   const int16_t* cap = bank.signature_cap_q(m).data();
   const uint32_t* codes = ws.seq_codes.data();
-  // i = 0 peeled (Ŷ_0 = X̂_0) and NaN decisions mirrored from the scan
-  // kernels: an ordered compare is false on NaN, keeping `extend` (only
-  // the maxsym leads can be NaN now — the quantized caps never are). The
-  // int16 caps round the true caps up, so they still dominate per
-  // position, and q * kSignatureQuantStep is exact in double.
-  double x = maxsym[codes[0]];
-  double y = x;
-  double z = x;
-  double posprefix = x > 0.0 ? x : 0.0;
-  for (size_t i = 1; i < p; ++i) {
-    x = i < s.leads ? maxsym[codes[i]]
-                    : static_cast<double>(cap[codes[i]]) *
-                          FrozenBank::kSignatureQuantStep;
+  const size_t len = ws.seq_codes.size();
+  double y = maxsym[codes[0]];  // i = 0 peeled: Ŷ_0 = Ẑ_0 = X̂_0
+  double z = y;
+  for (size_t i = 1; i < len; ++i) {
+    const double x = i < s.leads ? maxsym[codes[i]]
+                                 : static_cast<double>(cap[codes[i]]) *
+                                       FrozenBank::kSignatureQuantStep;
     const double extend = y + x;
     y = extend < x ? x : extend;
     if (y > z) z = y;
-    posprefix += x > 0.0 ? x : 0.0;
   }
-  double tail = ub1 - posprefix;
-  if (!(tail > 0.0)) tail = 0.0;
-  double ub = (y > 0.0 ? y : 0.0) + tail;
-  if (z > ub) ub = z;
-  return ub + 1e-9 * (1.0 + std::fabs(ub1) + std::fabs(posprefix));
+  const double ub = z > 0.0 ? z : 0.0;
+  return ub + 1e-9 * (1.0 + ub);
+}
+
+// Work done by one residual sweep, for the callers' stats.
+struct SweepCounts {
+  size_t refined_away = 0;  // dropped by the level-1.5 refine
+  size_t rescans = 0;       // exact scans the sweep ran
+};
+
+// The residual sweep both scans share: it makes *best the exact maximum
+// over every model still kPending in ws.model_state, scanning as few of
+// them exactly as the bounds allow. Exact scores land in results[m] (the
+// model turns kExact); a model refined away gets its refined bound there,
+// which does not beat *best. A pending model the dense floor passes over
+// keeps its slot, so a caller whose recorded bounds never exceed the dense
+// ones ends with no slot above the exact maximum.
+//
+// When nothing is exactly known yet (*best = -inf), the single
+// highest-bound pending model is scanned first: it is the likeliest true
+// max, and the score it establishes retires almost every remaining bound
+// before the sweep starts. The argmax runs over the raw integer maxima
+// (conversion is monotone, so this is the highest bound too); ties break
+// to the lowest index, so the choice is deterministic.
+//
+// Then an ascending-index sweep visits every pending model whose dense
+// bound still Beats the best, refines it with the level-1.5 Kadane, and
+// drops it if that no longer Beats the best; survivors batch into
+// growing chunks scanned exactly. The dense bound is tight enough that
+// almost nothing survives, so a plain index sweep replaces a
+// bound-ordered heap: it is deterministic by construction, and *best
+// only ever grows, so a model passed over earlier stays correctly passed
+// over. The true-max model cannot be dropped (its bound ≥ its score ≥
+// *best), so the final max is exact. Chunks grow 4 → 8 → 16 because the
+// first chunk is filled against the loosest best and every exact score
+// it produces tightens the test for the rest.
+SweepCounts ResidualSweep(const FrozenBank& bank,
+                          std::span<const SymbolId> symbols,
+                          const SigShape& s, double up, bool strict,
+                          Workspace& ws, SimilarityResult* results,
+                          double* best, size_t* best_m) {
+  const size_t k = s.k;
+  std::vector<uint8_t>& state = ws.model_state;
+  SweepCounts counts;
+  const auto take = [&](size_t m, const SimilarityResult& r) {
+    results[m] = r;
+    state[m] = kExact;
+    ++counts.rescans;
+    if (r.log_sim > *best) {
+      *best = r.log_sim;
+      *best_m = m;
+    }
+  };
+
+  if (*best == kNegInf) {
+    size_t m0 = static_cast<size_t>(-1);
+    int32_t z0 = std::numeric_limits<int32_t>::min();
+    for (size_t m = 0; m < k; ++m) {
+      if (state[m] == kPending && ws.acc[m] > z0) {
+        z0 = ws.acc[m];
+        m0 = m;
+      }
+    }
+    if (m0 != static_cast<size_t>(-1)) {
+      const uint32_t c0 = static_cast<uint32_t>(m0);
+      SimilarityResult r0;
+      bank.ScanCandidates(symbols, {&c0, 1}, &r0);
+      take(m0, r0);
+    }
+  }
+
+  size_t chunk_cap = 4;
+  size_t sweep = 0;
+  // A pending model's bound is at most UbFromZ(acc[m]), so the "bound
+  // still beats the best" test collapses to one int32 compare against a
+  // floor recomputed whenever the best grows.
+  int32_t z_floor = ZBoundFloor(*best, up, strict);
+  while (sweep < k) {
+    ws.candidates.clear();
+    for (; sweep < k && ws.candidates.size() < chunk_cap; ++sweep) {
+      const size_t m = sweep;
+      if (state[m] != kPending || ws.acc[m] < z_floor) continue;
+      const double ub = FineKadaneBound(bank, m, s, ws);
+      if (!Beats(ub, *best, strict)) {
+        results[m] = SimilarityResult{ub, 0, 0};
+        ++counts.refined_away;
+        continue;
+      }
+      ws.candidates.push_back(static_cast<uint32_t>(m));
+    }
+    if (ws.candidates.empty()) continue;  // everything refined away
+    ws.tmp.resize(ws.candidates.size());
+    bank.ScanCandidates(symbols, ws.candidates, ws.tmp.data());
+    for (size_t j = 0; j < ws.candidates.size(); ++j) {
+      take(ws.candidates[j], ws.tmp[j]);
+    }
+    z_floor = ZBoundFloor(*best, up, strict);
+    chunk_cap = std::min<size_t>(chunk_cap * 2, 16);
+  }
+  return counts;
 }
 
 void RecordMetrics(const PrefilterScanStats& stats) {
@@ -293,159 +328,66 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
 
   Workspace& ws = GetWorkspace();
   const SigShape s = ShapeOf(*bank_, symbols.size());
-  const size_t prefix = std::min(l15_prefix_, symbols.size());
-  CountCodes(symbols, s, ws);
+  EncodePositions(symbols, s, ws);
   ComputeAllBounds(*bank_, s, ws);
 
   // Levels 1 + 1.5: drop models whose bound cannot reach the threshold,
   // recording the tightest bound known — strictly below log_t, so
   // downstream join tests behave exactly as with the true (smaller)
-  // scores. Coarse-bound survivors are refined on the fine int16 grid,
-  // then through the truncated-prefix DP; the pruned majority costs one
-  // conversion, one double compare, and one slot write each.
+  // scores. Coarse-bound survivors are refined by the level-1.5 Kadane;
+  // the pruned majority costs one conversion, one double compare, and one
+  // slot write each.
   const double up = BoundScale(*bank_);
   ws.candidates.clear();
   for (size_t m = 0; m < k; ++m) {
-    double val = UbFromZ(ws.acc[m], up);
-    if (val < log_t) {
-      results[m] = SimilarityResult{val, 0, 0};
-      continue;
-    }
-    const double ub1f = OnDemandUb1(*bank_, m, symbols, s, ws);
-    if (ub1f < val) val = ub1f;
-    if (val < log_t) {
-      results[m] = SimilarityResult{val, 0, 0};
-      continue;
-    }
-    if (prefix > 0) {
-      const double ub15 = L15Bound(*bank_, m, ub1f, prefix, s, ws);
-      if (ub15 < val) val = ub15;
-      if (val < log_t) {
-        results[m] = SimilarityResult{val, 0, 0};
-        ++local.l15_pruned;
+    double ub = UbFromZ(ws.acc[m], up);
+    if (ub >= log_t) {
+      ub = FineKadaneBound(*bank_, m, s, ws);
+      if (ub >= log_t) {
+        ws.candidates.push_back(static_cast<uint32_t>(m));
         continue;
       }
+      ++local.l15_pruned;
     }
-    ws.candidates.push_back(static_cast<uint32_t>(m));
+    results[m] = SimilarityResult{ub, 0, 0};
   }
   local.candidates_skipped = k - ws.candidates.size();
 
   // The survivors run the exact sparse DP.
-  double best_exact = kNegInf;
+  double best = kNegInf;
   size_t best_m = static_cast<size_t>(-1);
+  std::vector<uint8_t>& state = ws.model_state;
+  state.assign(k, kPending);
   if (!ws.candidates.empty()) {
     ws.tmp.resize(ws.candidates.size());
     bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
     for (size_t j = 0; j < ws.candidates.size(); ++j) {
       const size_t m = ws.candidates[j];
       results[m] = ws.tmp[j];
-      if (ws.tmp[j].log_sim > best_exact) {
-        best_exact = ws.tmp[j].log_sim;
+      state[m] = kExact;
+      if (ws.tmp[j].log_sim > best) {
+        best = ws.tmp[j].log_sim;
         best_m = m;
       }
     }
   }
 
-  // Residual pass: the per-sequence maximum must be exact even when it
-  // falls below the threshold (best_log_sim is a reported output).
-  std::vector<uint8_t>& exact = ws.model_exact;  // 0 pruned, 1 exact
-  exact.assign(k, 0);
-  for (const uint32_t m : ws.candidates) exact[m] = 1;
-
-  // When nothing is exactly known yet (common below the threshold: every
-  // model was pruned), scan the single highest-bound model exactly first.
-  // It is the likeliest true max, and the score it establishes retires
-  // almost every remaining bound before the sweep below even starts. Ties
-  // break to the lowest index (strict >), so the choice is deterministic.
-  if (best_exact == kNegInf) {
-    // Argmax over the raw integer maxima (4 bytes per model, not the 24
-    // of a result slot); any deterministic seed rule preserves exactness,
-    // this one is just the cheapest.
-    size_t m0 = static_cast<size_t>(-1);
-    int32_t z0 = std::numeric_limits<int32_t>::min();
-    for (size_t m = 0; m < k; ++m) {
-      if (!exact[m] && ws.acc[m] > z0) {
-        z0 = ws.acc[m];
-        m0 = m;
-      }
-    }
-    if (m0 != static_cast<size_t>(-1)) {
-      const uint32_t c0 = static_cast<uint32_t>(m0);
-      bank_->ScanCandidates(symbols, {&c0, 1}, results + m0);
-      exact[m0] = 1;
-      ++local.residual_rescans;
-      if (results[m0].log_sim > best_exact) {
-        best_exact = results[m0].log_sim;
-        best_m = m0;
-      }
-    }
-  }
-
-  // Residual sweep, ascending model index: any model whose recorded
-  // bound still beats the best exactly-known score is refined — the
-  // full-length cap Kadane on the fine int16 grid (every window closes
-  // inside the "prefix", the tightest bound the tier can express), or
-  // the fine positional sum when level 1.5 is disabled — and dropped if
-  // the refined bound no longer beats the best. Survivors batch into
-  // growing chunks re-scanned exactly. The dense Kadane bound is tight
-  // enough that almost nothing survives the `> best_exact` test, so
-  // visiting order no longer matters the way it did for a positional-sum
-  // bound: a plain index sweep replaces the old bound-ordered heap. It is
-  // deterministic by construction, and best_exact only ever grows, so a
-  // model passed over earlier stays correctly passed over. The true-max
-  // model cannot be dropped (its bound ≥ its score ≥ best_exact), so the
-  // final max is exact. Chunks grow 4 → 8 → 16 because the first chunk is
-  // filled against the loosest best_exact and every exact score it
-  // produces tightens the test for the rest. Sequences that joined
-  // something rarely get here at all: best_exact ≥ log_t then, and every
-  // pruned bound is < log_t.
-  size_t chunk_cap = 4;
-  size_t sweep = 0;
-  // A pruned model's recorded bound is at most UbFromZ(acc[m]), so the
-  // "bound still beats best_exact" test collapses to one int32 compare
-  // against a floor recomputed whenever best_exact grows.
-  int32_t z_floor = ZBoundFloor(best_exact, up, /*strict=*/true);
-  while (sweep < k) {
-    ws.candidates.clear();
-    for (; sweep < k && ws.candidates.size() < chunk_cap; ++sweep) {
-      const size_t m = sweep;
-      if (exact[m] || ws.acc[m] < z_floor) continue;
-      double refined = results[m].log_sim;
-      if (prefix > 0) {
-        const double ubf =
-            L15Bound(*bank_, m, 0.0, ws.seq_codes.size(), s, ws);
-        if (ubf < refined) refined = ubf;
-      } else {
-        const double ub1f = OnDemandUb1(*bank_, m, symbols, s, ws);
-        if (ub1f < refined) refined = ub1f;
-      }
-      if (!(refined > best_exact)) {
-        // The refined bound is ≤ the recorded one (we only ever minimize),
-        // so it stays < log_t: no join decision can change.
-        results[m] = SimilarityResult{refined, 0, 0};
-        continue;
-      }
-      ws.candidates.push_back(static_cast<uint32_t>(m));
-    }
-    if (ws.candidates.empty()) continue;  // everything refined away
-    ws.tmp.resize(ws.candidates.size());
-    bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
-    for (size_t j = 0; j < ws.candidates.size(); ++j) {
-      const size_t m = ws.candidates[j];
-      // The true result is ≤ its bound < log t — no new joins.
-      results[m] = ws.tmp[j];
-      ++local.residual_rescans;
-      if (ws.tmp[j].log_sim > best_exact) {
-        best_exact = ws.tmp[j].log_sim;
-        best_m = m;
-      }
-    }
-    z_floor = ZBoundFloor(best_exact, up, /*strict=*/true);
-    chunk_cap = std::min<size_t>(chunk_cap * 2, 16);
-  }
+  // The per-sequence maximum must be exact even when it falls below the
+  // threshold (best_log_sim is a reported output). A model the sweep
+  // re-scans scores ≤ its bound < log t, so no join decision changes;
+  // one it refines away records a bound ≤ the best (so < log t when
+  // nothing joined, and < log t by the gate otherwise), and one it passes
+  // over keeps its gate bound, which is ≤ its dense bound ≤ the best.
+  // Sequences that joined
+  // something rarely get past the dense floor at all: the best is ≥ log t
+  // then, and every pruned bound is < log t.
+  local.residual_rescans =
+      ResidualSweep(*bank_, symbols, s, up, /*strict=*/true, ws, results,
+                    &best, &best_m)
+          .rescans;
 
   if (best_m != static_cast<size_t>(-1)) {
-    RecordSlack(UbFromZ(ws.acc[best_m], up), best_exact);
+    RecordSlack(UbFromZ(ws.acc[best_m], up), best);
   }
   RecordMetrics(local);
   if (stats) *stats = local;
@@ -488,105 +430,39 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
 
   Workspace& ws = GetWorkspace();
   const SigShape s = ShapeOf(*bank_, symbols.size());
-  const size_t prefix = std::min(l15_prefix_, symbols.size());
-  CountCodes(symbols, s, ws);
+  EncodePositions(symbols, s, ws);
   ComputeAllBounds(*bank_, s, ws);
   const double up = BoundScale(*bank_);
 
-  std::vector<double>& exact_value = ws.model_value;
-  std::vector<uint8_t>& have_exact = ws.model_exact;
-  exact_value.assign(k, kNegInf);
-  have_exact.assign(k, 0);
-  double best_bound = kNegInf;
-
-  // The highest-bound model is scanned first, alone: it is usually the
-  // argmax, and its exact score is the tightest possible starting point
-  // for everything else.
-  // The argmax runs over the raw integer Kadane maxima (conversion is
-  // monotone, so this is the highest bound too); ties break to the
-  // lowest index (strict >), so the seed choice is deterministic.
-  size_t m0 = static_cast<size_t>(-1);
-  int32_t z0 = std::numeric_limits<int32_t>::min();
-  for (size_t m = 0; m < k; ++m) {
-    if (m == exclude_model) continue;
-    if (ws.acc[m] > z0) {
-      z0 = ws.acc[m];
-      m0 = m;
-    }
-  }
-  const uint32_t c0 = static_cast<uint32_t>(m0);
-  SimilarityResult r0;
-  bank_->ScanCandidates(symbols, {&c0, 1}, &r0);
-  exact_value[m0] = r0.log_sim;
-  have_exact[m0] = 1;
-  if (r0.log_sim > best) {
-    best = r0.log_sim;
-    best_bound = UbFromZ(ws.acc[m0], up);
-  }
-
-  // Remaining models run through the same ascending-index sweep as the
-  // threshold scan's residual pass, with two differences: a model whose
-  // bound TIES the running best must still be scanned (it could attain
-  // the best and win the ascending-index tie-break), so drops are
-  // strict `<`; and every survivor is refined (the full-length cap
-  // Kadane on the fine int16 grid, or the fine positional sum when
-  // level 1.5 is disabled) before joining a chunk. The true argmax cannot
-  // be dropped (its bound ≥ its score ≥ best), so the maximum is exact.
-  size_t chunk_cap = 4;
-  size_t sweep = 0;
-  // Non-strict floor: a bound that TIES the running best must still be
-  // refined (the tie could win the ascending-index tie-break).
-  int32_t z_floor = ZBoundFloor(best, up, /*strict=*/false);
-  while (sweep < k) {
-    ws.candidates.clear();
-    for (; sweep < k && ws.candidates.size() < chunk_cap; ++sweep) {
-      const size_t m = sweep;
-      if (m == exclude_model || m == m0) continue;
-      if (ws.acc[m] < z_floor) continue;
-      if (prefix > 0) {
-        const double ubf =
-            L15Bound(*bank_, m, 0.0, ws.seq_codes.size(), s, ws);
-        if (ubf < best) {  // strict: a tie could still win the argmax
-          ++local.l15_pruned;
-          continue;
-        }
-      } else {
-        const double ub1f = OnDemandUb1(*bank_, m, symbols, s, ws);
-        if (ub1f < best) continue;
-      }
-      ws.candidates.push_back(static_cast<uint32_t>(m));
-    }
-    if (ws.candidates.empty()) continue;
-    ws.tmp.resize(ws.candidates.size());
-    bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
-    for (size_t j = 0; j < ws.candidates.size(); ++j) {
-      const uint32_t m = ws.candidates[j];
-      exact_value[m] = ws.tmp[j].log_sim;
-      have_exact[m] = 1;
-      if (ws.tmp[j].log_sim > best) {
-        best = ws.tmp[j].log_sim;
-        best_bound = UbFromZ(ws.acc[m], up);
-      }
-    }
-    z_floor = ZBoundFloor(best, up, /*strict=*/false);
-    chunk_cap = std::min<size_t>(chunk_cap * 2, 16);
-  }
+  // Every model starts pending, so the sweep scans the highest-bound one
+  // first (usually the argmax) and then visits the rest against its
+  // score. Ties with the running best must still be scanned — they could
+  // win the ascending-index tie-break — hence the non-strict rule.
+  std::vector<uint8_t>& state = ws.model_state;
+  state.assign(k, kPending);
+  if (exclude_model < k) state[exclude_model] = kExcluded;
+  ws.model_result.resize(k);
+  size_t best_m = static_cast<size_t>(-1);
+  local.l15_pruned =
+      ResidualSweep(*bank_, symbols, s, up, /*strict=*/false, ws,
+                    ws.model_result.data(), &best, &best_m)
+          .refined_away;
   const size_t eligible = exclude_model < k ? k - 1 : k;
   local.candidates_skipped =
-      eligible - static_cast<size_t>(std::count(
-                     have_exact.begin(), have_exact.end(), uint8_t{1}));
+      eligible -
+      static_cast<size_t>(std::count(state.begin(), state.end(), kExact));
 
   // First model (ascending index) whose exact score equals the exact max —
   // identical to the exhaustive first-strict-max loop, which also leaves
   // best_pos at -1 when every score is -inf (or NaN).
-  if (best > kNegInf) {
+  if (best_m != static_cast<size_t>(-1)) {
     for (size_t m = 0; m < k; ++m) {
-      if (have_exact[m] && exact_value[m] == best) {
+      if (state[m] == kExact && ws.model_result[m].log_sim == best) {
         best_pos = static_cast<int32_t>(m);
         break;
       }
     }
-    RecordSlack(best_bound, best);
+    RecordSlack(UbFromZ(ws.acc[best_m], up), best);
   }
   RecordMetrics(local);
   if (best_log_sim) *best_log_sim = best;
@@ -597,8 +473,7 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
 PrefilterWorkspaceProbe ScanPrefilter::ProbeThreadWorkspaceForTesting() {
   Workspace& ws = GetWorkspace();
   PrefilterWorkspaceProbe p;
-  p.stamp = ws.stamp.data();
-  p.count = ws.count.data();
+  p.codes = ws.seq_codes.data();
   p.cols = ws.cols.data();
   p.acc = ws.acc.data();
   p.tmp = ws.tmp.data();

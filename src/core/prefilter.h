@@ -27,19 +27,14 @@
 // code) — all k models advance one position per table byte in a SIMD
 // sweep. Because the encoding keeps negative caps, the bound sees windows
 // *break*: a model whose good caps never chain into one window is pruned
-// here, which a positional sum of positive parts can never do. The
-// per-model refinement bounds read the model-major int16 caps instead — a
-// grid ~50× finer, used where one model's bound must be as tight as the
-// tier allows.
+// here, which a positional sum of positive parts can never do.
 //
-// Level 1.5 — truncated-prefix DP. Level-1 survivors run a cap-table
-// Kadane over just the first B symbols (B = l15_prefix, default 96):
-// the best window either closes inside the prefix (≤ the prefix DP's Ẑ)
-// or crosses it (≤ max(Ŷ, 0) + the level-1 mass beyond the prefix). This
-// sees cap *ordering*, which the positional sum cannot — a model whose
-// good caps are scattered never chains them into one window. A tiny
-// deterministic pad absorbs FP summation-order differences against the
-// level-1 sum, keeping the bound admissible.
+// Level 1.5 — one fine-grid refiner. A model the dense bound cannot prune
+// is refined by the same full-length Kadane over its model-major int16
+// caps (the unquantized per-symbol maxima for the leads): a grid ~50×
+// finer than the dense pass's, so it is the tightest bound the tier can
+// express. It runs on dense-bound survivors only — at the threshold gate
+// and inside the residual sweep below — never over all k models.
 //
 // Survivors run the exact sparse DP (FrozenBank::ScanCandidates, bit-for-bit
 // ScanAll on the models it is given). No abandon bound runs inside the DP:
@@ -49,18 +44,18 @@
 // Exactness is restored where consumers need it:
 //   * join decisions: a skipped model's recorded value is its upper
 //     bound, which is < the target, so it never joins — same as exact;
-//   * the per-sequence best score: when no survivor scored above -inf,
-//     the highest-bound model is scanned exactly, then an ascending-index
-//     sweep visits every model whose bound still exceeds the best
-//     exactly-known score, each first *refined* (a full-length Kadane on
-//     the fine int16 caps) and only re-scanned exactly if the refined
-//     bound still beats the best — the Kadane bound is tight enough that
-//     the sweep almost never fires, so no priority order is needed;
-//   * argmax (Classify): the highest-bound model is scanned first (it is
-//     usually the winner), then the same ascending sweep runs against the
-//     running best; the true argmax can never be skipped (its bound is ≥
-//     its score ≥ the running best), and ties resolve to the smallest
-//     model index exactly as the exhaustive first-strict-max loop does.
+//   * the per-sequence best score and the argmax (Classify) share one
+//     residual sweep. When nothing is exactly known yet, the
+//     highest-bound model is scanned first (it is usually the winner).
+//     Then an ascending-index sweep visits every model whose dense bound
+//     still beats the best exactly-known score, refines it with the
+//     level-1.5 Kadane, and re-scans it exactly only if the refined bound
+//     still beats the best. The Kadane bound is tight enough that the
+//     sweep almost never fires, so no priority order is needed. The true
+//     max can never be skipped (its bound is ≥ its score ≥ the running
+//     best). The argmax also keeps bounds that *tie* the running best, so
+//     ties resolve to the smallest model index exactly as the exhaustive
+//     first-strict-max loop does.
 //
 // Pruning off (the `prefilter` constructor argument, the caller's
 // CluseqOptions::prefilter): both calls run the bank's exhaustive kernel —
@@ -92,7 +87,7 @@ namespace cluseq {
 struct PrefilterScanStats {
   size_t models_total = 0;       ///< Models the call covered.
   size_t candidates_skipped = 0; ///< Models pruned before the DP (all levels).
-  size_t l15_pruned = 0;         ///< Subset: level-1.5 truncated-DP drops.
+  size_t l15_pruned = 0;         ///< Subset: level-1.5 Kadane drops.
   /// Always 0: the in-DP early-abandon level is gone. Kept only because the
   /// benchmark harness still reads it; it goes at the next benchmark change.
   size_t dp_early_exits = 0;
@@ -103,8 +98,7 @@ struct PrefilterScanStats {
 /// regression test pinning "no per-sequence reallocation" (the buffers
 /// must keep their storage across repeated scans of same-shape input).
 struct PrefilterWorkspaceProbe {
-  const void* stamp = nullptr;
-  const void* count = nullptr;
+  const void* codes = nullptr;
   const void* cols = nullptr;
   const void* acc = nullptr;
   const void* tmp = nullptr;
@@ -112,31 +106,28 @@ struct PrefilterWorkspaceProbe {
 
 class ScanPrefilter {
  public:
-  /// Default truncated-prefix length for the level-1.5 bound. Chosen from
-  /// the prefilter.bound_slack histogram: windows that decide membership
-  /// close within the first ~100 symbols on every corpus measured.
+  /// Retired with the truncated-prefix level-1.5 bound: ignored; goes at
+  /// the next benchmark change (the benchmark harness still names it).
   static constexpr size_t kDefaultL15Prefix = 96;
 
   ScanPrefilter() = default;
   /// `prefilter` false turns pruning off: every call is the exhaustive
   /// oracle scan (see the header comment).
-  explicit ScanPrefilter(const FrozenBank* bank,
-                         size_t l15_prefix = kDefaultL15Prefix,
-                         bool prefilter = true)
-      : l15_prefix_(l15_prefix), prune_(prefilter) {
+  explicit ScanPrefilter(const FrozenBank* bank, bool prefilter = true)
+      : prune_(prefilter) {
     Bind(bank);
   }
+  /// Retired overload: the size_t (the old level-1.5 prefix length) is
+  /// ignored; goes at the next benchmark change.
+  ScanPrefilter(const FrozenBank* bank, size_t /*ignored*/,
+                bool prefilter = true)
+      : ScanPrefilter(bank, prefilter) {}
 
   /// Points the prefilter at `bank` (not owned; must outlive this object
   /// and stay un-reassembled while scans run). Binding is free — the
   /// signatures live in the bank.
   void Bind(const FrozenBank* bank) { bank_ = bank; }
   bool bound() const { return bank_ != nullptr && !bank_->empty(); }
-
-  /// Number of leading symbols the level-1.5 truncated DP covers; 0
-  /// disables the level entirely.
-  void set_l15_prefix(size_t prefix) { l15_prefix_ = prefix; }
-  size_t l15_prefix() const { return l15_prefix_; }
 
   /// Threshold-mode scan over all models. Postconditions versus the exact
   /// bank_->ScanAll(symbols, results):
@@ -170,7 +161,6 @@ class ScanPrefilter {
 
  private:
   const FrozenBank* bank_ = nullptr;
-  size_t l15_prefix_ = kDefaultL15Prefix;
   bool prune_ = true;
 };
 

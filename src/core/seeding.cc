@@ -63,8 +63,7 @@ std::vector<size_t> SelectSeeds(
     // maximum is consumed, which the argmax scan (excluding the sample's
     // own model) reports exactly.
     const FrozenBank peer_bank(sample_psts, num_threads);
-    const ScanPrefilter peer_prefilter(
-        &peer_bank, ScanPrefilter::kDefaultL15Prefix, prefilter);
+    const ScanPrefilter peer_prefilter(&peer_bank, prefilter);
     ParallelForWeighted(sample_size, num_threads, sample_cost, [&](size_t i) {
       peer_prefilter.BestModel(db.Symbols(sample_seq[i]), &peer_best[i],
                                /*stats=*/nullptr, /*exclude_model=*/i);
@@ -89,8 +88,7 @@ std::vector<size_t> SelectSeeds(
     }
     CLUSEQ_CHECK(existing_bank->num_models() == existing_models.size(),
                  "SelectSeeds: existing_bank must hold existing_models");
-    const ScanPrefilter existing_prefilter(
-        existing_bank, ScanPrefilter::kDefaultL15Prefix, prefilter);
+    const ScanPrefilter existing_prefilter(existing_bank, prefilter);
     ParallelForWeighted(sample_size, num_threads, sample_cost, [&](size_t i) {
       existing_prefilter.BestModel(db.Symbols(sample_seq[i]), &best_sim[i]);
     });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "util/string_util.h"
@@ -216,11 +215,8 @@ Status FailRule::Parse(std::string_view spec, FailRule* out) {
     percent = true;
     tol.remove_suffix(1);
   }
-  const std::string buffer(tol);
-  char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size() ||
-      !std::isfinite(value) || value < 0.0) {
+  double value = 0.0;
+  if (!ParseDouble(tol, &value) || value < 0.0) {
     return Status::InvalidArgument(
         "fail-on: tolerance must be a non-negative number or percentage, "
         "got '" + std::string(spec) + "'");

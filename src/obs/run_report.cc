@@ -44,7 +44,6 @@ void WriteOptions(JsonWriter& writer, const CluseqOptions& options) {
   writer.KeyValue("adjust_bound_window", options.adjust_bound_window);
   writer.KeyValue("signature_budget_bytes",
                   uint64_t{options.signature_budget_bytes});
-  writer.KeyValue("prefilter_prefix", uint64_t{options.prefilter_prefix});
   writer.KeyValue("significance_threshold",
                   uint64_t{options.significance_threshold});
   writer.KeyValue("sample_multiplier", options.sample_multiplier);

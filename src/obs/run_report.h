@@ -70,7 +70,7 @@ struct RunReport {
   /// off).
   bool prefilter_enabled = false;
   double prefilter_skip_ratio = 0.0;
-  /// Level-1.5 truncated-DP drops as a fraction of all pairs (subset of
+  /// Level-1.5 Kadane drops as a fraction of all pairs (subset of
   /// the skip ratio), and the signature tier the bank selected under the
   /// byte budget ("unigram" / "bigram" / "trigram"; empty when no bank was
   /// assembled).

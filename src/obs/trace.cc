@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -60,25 +58,6 @@ uint64_t SeedForThread(uint64_t seed, uint32_t tid) {
   return state;
 }
 
-bool ParseFullDouble(std::string_view text, double* out) {
-  const std::string buffer(text);
-  char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || buffer.empty()) return false;
-  if (!std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseFullUint(std::string_view text, uint64_t* out) {
-  const std::string buffer(text);
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size() || buffer.empty()) return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 Status SamplingPolicy::Parse(std::string_view spec, SamplingPolicy* out) {
@@ -96,13 +75,13 @@ Status SamplingPolicy::Parse(std::string_view spec, SamplingPolicy* out) {
       prob = rest.substr(0, comma);
       std::string_view seed = rest.substr(comma + 1);
       if (!seed.starts_with("seed=") ||
-          !ParseFullUint(seed.substr(5), &policy.seed)) {
+          !ParseUint64(seed.substr(5), &policy.seed)) {
         return Status::InvalidArgument(
             "trace_sample: expected prob:P,seed=N, got '" +
             std::string(spec) + "'");
       }
     }
-    if (!ParseFullDouble(prob, &policy.probability) ||
+    if (!ParseDouble(prob, &policy.probability) ||
         policy.probability < 0.0 || policy.probability > 1.0) {
       return Status::InvalidArgument(
           "trace_sample: probability must be in [0, 1], got '" +
@@ -110,7 +89,7 @@ Status SamplingPolicy::Parse(std::string_view spec, SamplingPolicy* out) {
     }
   } else if (spec.starts_with("every:")) {
     policy.mode = Mode::kEveryNth;
-    if (!ParseFullUint(spec.substr(6), &policy.every_nth) ||
+    if (!ParseUint64(spec.substr(6), &policy.every_nth) ||
         policy.every_nth == 0) {
       return Status::InvalidArgument(
           "trace_sample: every:N needs N >= 1, got '" + std::string(spec) +
@@ -118,7 +97,7 @@ Status SamplingPolicy::Parse(std::string_view spec, SamplingPolicy* out) {
     }
   } else if (spec.starts_with("rate:")) {
     policy.mode = Mode::kRateLimited;
-    if (!ParseFullDouble(spec.substr(5), &policy.max_per_sec) ||
+    if (!ParseDouble(spec.substr(5), &policy.max_per_sec) ||
         policy.max_per_sec <= 0.0) {
       return Status::InvalidArgument(
           "trace_sample: rate:R needs R > 0, got '" + std::string(spec) +

@@ -1,7 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace cluseq {
 
@@ -67,6 +71,34 @@ bool ParseFlag(std::string_view arg, std::string_view name,
   prefix.push_back('=');
   if (!StartsWith(arg, prefix)) return false;
   *value = std::string(arg.substr(prefix.size()));
+  return true;
+}
+
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string buffer(text);
+  char* end = nullptr;
+  const double value = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size() || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 

@@ -3,6 +3,7 @@
 #ifndef CLUSEQ_UTIL_STRING_UTIL_H_
 #define CLUSEQ_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,15 @@ std::string StringPrintf(const char* format, ...)
 /// `arg` matches "--<name>=".
 bool ParseFlag(std::string_view arg, std::string_view name,
                std::string* value);
+
+/// Strict whole-string number parsers for flag and spec values. Each
+/// returns false, leaving *out untouched, unless `text` is exactly one
+/// number: no leading whitespace, no trailing text.
+/// ParseUint64 takes decimal digits only — no sign — and rejects values
+/// past UINT64_MAX.
+bool ParseUint64(std::string_view text, uint64_t* out);
+/// ParseDouble takes strtod syntax and rejects inf, nan and overflow.
+bool ParseDouble(std::string_view text, double* out);
 
 /// Human-readable byte count, e.g. "5.0 MiB".
 std::string HumanBytes(size_t bytes);

@@ -108,12 +108,11 @@ std::vector<ModelPtr> DiverseModels(size_t k, size_t alphabet, size_t depth,
 // bit-identical results on joined pairs, admissible bounds on the rest,
 // and an exactly restored per-sequence maximum. With pruning off the call is
 // the exhaustive oracle itself: every slot equals ScanAll bit-for-bit.
-void ExpectThresholdScanMatches(
-    const FrozenBank& bank, const Symbols& query, double log_t,
-    size_t l15_prefix = ScanPrefilter::kDefaultL15Prefix, bool prune = true) {
+void ExpectThresholdScanMatches(const FrozenBank& bank, const Symbols& query,
+                                double log_t, bool prune = true) {
   const size_t k = bank.num_models();
   const std::vector<SimilarityResult> off = bank.ScanAll(query);
-  const ScanPrefilter prefilter(&bank, l15_prefix, prune);
+  const ScanPrefilter prefilter(&bank, prune);
   std::vector<SimilarityResult> on(k);
   PrefilterScanStats stats;
   prefilter.ScanAllWithThreshold(query, log_t, on.data(), &stats);
@@ -163,8 +162,7 @@ void ExpectBestModelMatches(const FrozenBank& bank, const Symbols& query,
       expect_pos = static_cast<int32_t>(m);
     }
   }
-  const ScanPrefilter prefilter(&bank, ScanPrefilter::kDefaultL15Prefix,
-                                prune);
+  const ScanPrefilter prefilter(&bank, prune);
   double best = 0.0;
   EXPECT_EQ(prefilter.BestModel(query, &best, nullptr, exclude), expect_pos);
   EXPECT_EQ(best, expect_pos >= 0 ? expect_best : kNegInf);
@@ -198,9 +196,7 @@ TEST(PrefilterScanTest, MatchesOracleAcrossThresholdsAndBanks) {
         // Pruned, then the exhaustive oracle mode of the same calls.
         for (bool prune : {true, false}) {
           for (double log_t : {kNegInf, 0.0, median, 1e300}) {
-            ExpectThresholdScanMatches(bank, query, log_t,
-                                       ScanPrefilter::kDefaultL15Prefix,
-                                       prune);
+            ExpectThresholdScanMatches(bank, query, log_t, prune);
           }
           ExpectBestModelMatches(bank, query, ScanPrefilter::kNoExclude,
                                  prune);
@@ -323,23 +319,57 @@ TEST(PrefilterSignatureTierTest, ReassemblyAcrossBudgetsRebuildsSignatures) {
   }
 }
 
-// The level-1.5 truncated-prefix bound must stay admissible at any prefix
-// length, including degenerate ones (0 disables the level, 1 covers a
-// single symbol, 7 splits windows mid-sequence).
-TEST(PrefilterScanTest, L15PrefixSweepMatchesOracle) {
+// The level-1.5 Kadane and the residual sweep both scans share must stay
+// exact at lengths around the signature tiers' lead positions (1–4
+// symbols) and around 96 symbols, at every tier the byte budget can
+// select: the threshold scan (including a threshold tied with the exact
+// maximum) and the argmax, whole and with a model excluded — among them
+// the true argmax itself, which forces the sweep past its first pick.
+TEST(PrefilterScanTest, LengthSweepAcrossTiersMatchesOracle) {
   Rng rng(608);
   const size_t alphabet = 14;
+  const size_t k = 70;
   const BackgroundModel background = SkewedBackground(alphabet, &rng);
-  FrozenBank bank(DiverseModels(70, alphabet, 4, background, &rng));
-  for (size_t prefix : {size_t{0}, size_t{1}, size_t{7}, size_t{96}}) {
-    for (size_t len : {size_t{1}, size_t{40}, size_t{400}}) {
+  const std::vector<ModelPtr> models =
+      DiverseModels(k, alphabet, 4, background, &rng);
+  const size_t bigram_budget = static_cast<size_t>(
+      (FrozenBank::SignatureTierCostBytes(k, alphabet, 2) +
+       FrozenBank::SignatureTierCostBytes(k, alphabet, 3)) /
+      2);
+  const struct {
+    size_t budget;
+    FrozenBank::SignatureTier tier;
+  } tiers[] = {
+      {0, FrozenBank::SignatureTier::kUnigram},
+      {bigram_budget, FrozenBank::SignatureTier::kBigram},
+      {FrozenBank::kDefaultSignatureBudgetBytes,
+       FrozenBank::SignatureTier::kTrigram},
+  };
+  for (const auto& t : tiers) {
+    FrozenBank bank;
+    bank.set_signature_budget_bytes(t.budget);
+    bank.Assemble(models);
+    ASSERT_EQ(bank.signature_tier(), t.tier) << "budget=" << t.budget;
+    for (size_t len : {1, 2, 3, 4, 95, 96, 97, 400}) {
       const Symbols query = RandomText(len, alphabet, &rng);
       const std::vector<SimilarityResult> off = bank.ScanAll(query);
       std::vector<double> scores;
       for (const SimilarityResult& r : off) scores.push_back(r.log_sim);
       std::sort(scores.begin(), scores.end());
-      for (double log_t : {0.5, scores[scores.size() / 2], 1e300}) {
-        ExpectThresholdScanMatches(bank, query, log_t, prefix);
+      for (double log_t :
+           {0.5, scores[scores.size() / 2], scores.back(), 1e300}) {
+        ExpectThresholdScanMatches(bank, query, log_t);
+      }
+      const size_t argmax = static_cast<size_t>(
+          std::max_element(off.begin(), off.end(),
+                           [](const SimilarityResult& a,
+                              const SimilarityResult& b) {
+                             return a.log_sim < b.log_sim;
+                           }) -
+          off.begin());
+      for (size_t exclude : {ScanPrefilter::kNoExclude, size_t{0}, k / 2,
+                             argmax}) {
+        ExpectBestModelMatches(bank, query, exclude);
       }
     }
   }
@@ -368,8 +398,7 @@ TEST(PrefilterWorkspaceTest, ScratchNotReallocatedAcrossCalls) {
   }
   const PrefilterWorkspaceProbe after =
       ScanPrefilter::ProbeThreadWorkspaceForTesting();
-  EXPECT_EQ(before.stamp, after.stamp);
-  EXPECT_EQ(before.count, after.count);
+  EXPECT_EQ(before.codes, after.codes);
   EXPECT_EQ(before.cols, after.cols);
   EXPECT_EQ(before.acc, after.acc);
   EXPECT_EQ(before.tmp, after.tmp);

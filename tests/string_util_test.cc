@@ -58,6 +58,45 @@ TEST(ParseFlagTest, MatchesAndExtracts) {
   EXPECT_EQ(value, "");
 }
 
+TEST(ParseUint64Test, AcceptsWholeDecimalNumbers) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("0042", &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(ParseUint64Test, RejectsSignsTrailingTextAndOverflow) {
+  uint64_t v = 7;
+  for (const char* bad : {"", "-5", "+5", "four", "2x", " 3", "3 ", "1.5",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseUint64(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "' must leave the output untouched";
+  }
+}
+
+TEST(ParseDoubleTest, AcceptsWholeFiniteNumbers) {
+  double v = 0.0;
+  EXPECT_TRUE(ParseDouble("0.5", &v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(ParseDouble("-2", &v));
+  EXPECT_EQ(v, -2.0);
+  EXPECT_TRUE(ParseDouble("1e3", &v));
+  EXPECT_EQ(v, 1000.0);
+}
+
+TEST(ParseDoubleTest, RejectsTrailingTextNonFiniteAndOverflow) {
+  double v = 7.0;
+  for (const char* bad :
+       {"", "abc", "0.5x", " 1", "1 ", "inf", "-inf", "nan", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7.0) << "'" << bad << "' must leave the output untouched";
+  }
+}
+
 TEST(HumanBytesTest, Units) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KiB");

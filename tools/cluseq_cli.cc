@@ -24,9 +24,9 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -156,6 +156,33 @@ int MaybeWritePrometheus(const std::string& path) {
   return 0;
 }
 
+// Strict numeric flag values: anything but one whole number (a sign on an
+// unsigned flag, trailing text, overflow) is a usage error that names the
+// flag; Parse() then fails and main() exits 2.
+template <typename T>
+bool UintFlag(std::string_view arg, const std::string& value, T* out) {
+  uint64_t parsed = 0;
+  if (ParseUint64(value, &parsed) &&
+      parsed <= std::numeric_limits<T>::max()) {
+    *out = static_cast<T>(parsed);
+    return true;
+  }
+  const std::string_view flag = arg.substr(0, arg.find('='));
+  std::fprintf(stderr, "%.*s: expected an integer in [0, %llu], got '%s'\n",
+               static_cast<int>(flag.size()), flag.data(),
+               static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+               value.c_str());
+  return false;
+}
+
+bool DoubleFlag(std::string_view arg, const std::string& value, double* out) {
+  if (ParseDouble(value, out)) return true;
+  const std::string_view flag = arg.substr(0, arg.find('='));
+  std::fprintf(stderr, "%.*s: expected a finite number, got '%s'\n",
+               static_cast<int>(flag.size()), flag.data(), value.c_str());
+  return false;
+}
+
 struct CommonFlags {
   std::string input;
   std::string output;
@@ -172,7 +199,7 @@ struct CommonFlags {
   double max_seconds = 0.0;  // 0 = no deadline.
   CluseqOptions options;
 
-  // Returns false (after printing) on an unknown flag.
+  // Returns false (after printing) on an unknown flag or a bad value.
   bool Parse(int argc, char** argv) {
     std::string v;
     for (int i = 2; i < argc; ++i) {
@@ -205,28 +232,27 @@ struct CommonFlags {
       } else if (ParseFlag(arg, "kind", &v)) {
         kind = v;
       } else if (ParseFlag(arg, "scale", &v)) {
-        scale = std::strtod(v.c_str(), nullptr);
+        if (!DoubleFlag(arg, v, &scale)) return false;
       } else if (ParseFlag(arg, "seed", &v)) {
-        seed = std::strtoull(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &seed)) return false;
         options.rng_seed = seed;
       } else if (ParseFlag(arg, "k", &v)) {
-        options.initial_clusters = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.initial_clusters)) return false;
       } else if (ParseFlag(arg, "c", &v)) {
-        options.significance_threshold =
-            std::strtoull(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.significance_threshold)) return false;
       } else if (ParseFlag(arg, "t", &v)) {
-        options.similarity_threshold = std::strtod(v.c_str(), nullptr);
+        if (!DoubleFlag(arg, v, &options.similarity_threshold)) return false;
         options.auto_initial_threshold = false;
       } else if (ParseFlag(arg, "depth", &v)) {
-        options.pst.max_depth = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.pst.max_depth)) return false;
       } else if (ParseFlag(arg, "min-members", &v)) {
-        options.min_unique_members = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.min_unique_members)) return false;
       } else if (ParseFlag(arg, "max-iterations", &v)) {
-        options.max_iterations = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.max_iterations)) return false;
       } else if (ParseFlag(arg, "threads", &v)) {
-        options.num_threads = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.num_threads)) return false;
       } else if (ParseFlag(arg, "pst-memory", &v)) {
-        options.pst.max_memory_bytes = std::strtoul(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.pst.max_memory_bytes)) return false;
       } else if (ParseFlag(arg, "prefilter", &v)) {
         if (v == "on") {
           options.prefilter = true;
@@ -239,25 +265,23 @@ struct CommonFlags {
         }
       } else if (ParseFlag(arg, "adjust_window", &v) ||
                  ParseFlag(arg, "adjust-window", &v)) {
-        options.adjust_bound_window = std::strtod(v.c_str(), nullptr);
+        if (!DoubleFlag(arg, v, &options.adjust_bound_window)) return false;
       } else if (ParseFlag(arg, "sig_budget_mb", &v) ||
                  ParseFlag(arg, "sig-budget-mb", &v)) {
-        options.signature_budget_bytes =
-            std::strtoull(v.c_str(), nullptr, 10) * 1024 * 1024;
-      } else if (ParseFlag(arg, "prefilter_l15", &v) ||
-                 ParseFlag(arg, "prefilter-l15", &v)) {
-        options.prefilter_prefix = std::strtoul(v.c_str(), nullptr, 10);
+        uint32_t mb = 0;  // Capped so the byte count cannot wrap.
+        if (!UintFlag(arg, v, &mb)) return false;
+        options.signature_budget_bytes = size_t{mb} << 20;
       } else if (ParseFlag(arg, "checkpoint_dir", &v) ||
                  ParseFlag(arg, "checkpoint-dir", &v)) {
         options.checkpoint_dir = v;
       } else if (ParseFlag(arg, "checkpoint_every", &v) ||
                  ParseFlag(arg, "checkpoint-every", &v)) {
-        options.checkpoint_every = std::strtoull(v.c_str(), nullptr, 10);
+        if (!UintFlag(arg, v, &options.checkpoint_every)) return false;
       } else if (arg == "--resume") {
         options.resume = true;
       } else if (ParseFlag(arg, "max_seconds", &v) ||
                  ParseFlag(arg, "max-seconds", &v)) {
-        max_seconds = std::strtod(v.c_str(), nullptr);
+        if (!DoubleFlag(arg, v, &max_seconds)) return false;
       } else if (arg == "--strict") {
         strict = true;
       } else if (arg == "--verbose") {
@@ -582,8 +606,7 @@ int RunClassify(const CommonFlags& flags) {
   // identical at any thread count), then print serially in input order.
   // Argmax scan: exact value, smallest-index tie-break; a sequence every
   // model scores -inf prints model 0.
-  const ScanPrefilter prefilter(&bank, ScanPrefilter::kDefaultL15Prefix,
-                                flags.options.prefilter);
+  const ScanPrefilter prefilter(&bank, flags.options.prefilter);
   std::vector<double> best_sim(db.size(), -1e300);
   std::vector<size_t> best_model(db.size(), 0);
   ParallelForWeighted(
@@ -715,8 +738,7 @@ void PrintUsage() {
                "           [--max-iterations=N] [--threads=N] "
                "[--pst-memory=BYTES]\n"
                "           [--prefilter=on|off] [--verbose]\n"
-               "           [--adjust_window=F] [--sig_budget_mb=N] "
-               "[--prefilter_l15=N]\n"
+               "           [--adjust_window=F] [--sig_budget_mb=N]\n"
                "           --adjust_window: censor window W of the "
                "threshold adjuster's\n"
                "           histogram (prefiltered scans stay exact down to "
@@ -726,10 +748,6 @@ void PrintUsage() {
                "the prefilter\n"
                "           signature tier (trigram/bigram/unigram, default "
                "32; perf-only)\n"
-               "           --prefilter_l15: symbols covered by the "
-               "level-1.5 truncated-\n"
-               "           prefix bound (default 96, 0 disables; "
-               "perf-only)\n"
                "           [--metrics_json=PATH] [--metrics_prom=PATH] "
                "[--trace_json=PATH]\n"
                "           [--trace_sample=always|never|prob:P[,seed=N]|"
