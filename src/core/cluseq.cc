@@ -177,7 +177,7 @@ void CluseqClusterer::GenerateNewClusters(size_t count) {
   // so Recluster's Assemble reuses every slot packed here in place.
   RefreshFrozen();
   const std::vector<std::shared_ptr<const FrozenPst>> snapshots = Snapshots();
-  bank_.Assemble(snapshots, options_.num_threads);
+  AssembleBank(snapshots);
   std::vector<size_t> seeds =
       SelectSeeds(db_, unclustered_, count, sample_size, snapshots,
                   background_, options_.pst, options_.num_threads, &rng_,
@@ -292,6 +292,8 @@ void CluseqClusterer::RebuildClusterPsts() {
 }
 
 size_t CluseqClusterer::RefreshFrozen() {
+  CLUSEQ_TRACE_SPAN("cluseq.freeze");
+  Stopwatch timer;
   std::vector<size_t> stale;
   for (size_t ci = 0; ci < clusters_.size(); ++ci) {
     if (!clusters_[ci].frozen_fresh()) stale.push_back(ci);
@@ -307,7 +309,15 @@ size_t CluseqClusterer::RefreshFrozen() {
             std::make_shared<const FrozenPst>(cluster.pst(), background_));
       });
   refrozen_this_iter_ += stale.size();
+  freeze_seconds_this_iter_ += timer.ElapsedSeconds();
   return stale.size();
+}
+
+void CluseqClusterer::AssembleBank(
+    std::vector<std::shared_ptr<const FrozenPst>> snapshots) {
+  Stopwatch timer;
+  bank_.Assemble(std::move(snapshots), options_.num_threads);
+  assemble_seconds_this_iter_ += timer.ElapsedSeconds();
 }
 
 std::vector<std::shared_ptr<const FrozenPst>> CluseqClusterer::Snapshots()
@@ -350,7 +360,7 @@ void CluseqClusterer::Recluster() {
       // Pack every snapshot into the scoring arena (untouched models keep
       // their rows byte-identical) and run one interleaved scan per
       // sequence instead of kc serial automaton scans.
-      bank_.Assemble(Snapshots(), options_.num_threads);
+      AssembleBank(Snapshots());
       // Multi-level pruned scan against scan_target_ — log t while the
       // §4.6 adjuster is frozen or off, the censored floor
       // log t − adjust_bound_window while it is live. Joins and the
@@ -861,6 +871,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     refrozen_this_iter_ = 0;
     scan_seconds_this_iter_ = 0.0;
     join_seconds_this_iter_ = 0.0;
+    freeze_seconds_this_iter_ = 0.0;
+    assemble_seconds_this_iter_ = 0.0;
     prefilter_pairs_this_iter_ = 0;
     prefilter_skipped_this_iter_ = 0;
     prefilter_l15_this_iter_ = 0;
@@ -951,6 +963,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.refrozen_clusters = refrozen_this_iter_;
     stats.scan_seconds = scan_seconds_this_iter_;
     stats.seed_seconds = seed_seconds;
+    stats.freeze_seconds = freeze_seconds_this_iter_;
+    stats.assemble_seconds = assemble_seconds_this_iter_;
     stats.join_seconds = join_seconds_this_iter_;
     stats.consolidate_seconds = consolidate_seconds;
     stats.prefilter_l15_pruned = prefilter_l15_this_iter_;
@@ -998,6 +1012,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << " clusters, " << stats.pst_nodes_total
                         << " pst nodes (" << stats.pst_pruned_total
                         << " pruned), phases seed " << stats.seed_seconds
+                        << "s / freeze " << stats.freeze_seconds
+                        << "s / assemble " << stats.assemble_seconds
                         << "s / join " << stats.join_seconds
                         << "s / consolidate " << stats.consolidate_seconds
                         << "s, prefilter skip "
@@ -1085,7 +1101,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     }
     // Snapshot the final summaries so Classify() is one banked scan.
     RefreshFrozen();
-    bank_.Assemble(Snapshots(), options_.num_threads);
+    AssembleBank(Snapshots());
   }
 
   report_->num_clusters = result->num_clusters();

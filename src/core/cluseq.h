@@ -215,7 +215,8 @@ struct IterationStats {
   /// incremental re-freeze.
   size_t refrozen_clusters = 0;
   /// Wall time of the re-cluster similarity scan (scoring only, excluding
-  /// the join/absorb apply phase).
+  /// the join/absorb apply phase). Includes the re-freeze and bank
+  /// assembly that open the scan (see freeze_seconds/assemble_seconds).
   double scan_seconds = 0.0;
   /// Live PST nodes across all clusters at the end of the iteration.
   size_t pst_nodes_total = 0;
@@ -224,6 +225,16 @@ struct IterationStats {
   size_t pst_pruned_total = 0;
   /// Wall time of cluster seeding (PST rebuild + new-cluster generation).
   double seed_seconds = 0.0;
+  /// Wall time spent compiling changed cluster trees into snapshots
+  /// (RefreshFrozen) this iteration, wherever it ran: before seeding
+  /// (inside seed_seconds) and before the scan (inside scan_seconds).
+  double freeze_seconds = 0.0;
+  /// Wall time spent packing snapshots into the scoring bank and building
+  /// their prefilter signatures (FrozenBank::Assemble of the clusterer's
+  /// bank) this iteration, inside seed_seconds and scan_seconds like
+  /// freeze_seconds. Seeding's own throwaway sample bank is not included;
+  /// its spans sit under seeding.select_seeds.
+  double assemble_seconds = 0.0;
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
   /// where joins are applied inside the scan itself).
   double join_seconds = 0.0;
@@ -316,8 +327,12 @@ class CluseqClusterer {
   void GenerateNewClusters(size_t count);
   // Compiles a snapshot for every cluster whose tree changed since its last
   // freeze (in parallel); untouched clusters keep their cached snapshot.
-  // Returns how many clusters were (re)compiled.
+  // Returns how many clusters were (re)compiled. Timed into
+  // freeze_seconds_this_iter_.
   size_t RefreshFrozen();
+  // Re-targets bank_ at `snapshots` (only changed slots are rewritten),
+  // timed into assemble_seconds_this_iter_.
+  void AssembleBank(std::vector<std::shared_ptr<const FrozenPst>> snapshots);
   // The per-cluster cached snapshots, in cluster order. Call after
   // RefreshFrozen(); entries are null only for never-frozen clusters.
   std::vector<std::shared_ptr<const FrozenPst>> Snapshots() const;
@@ -358,6 +373,8 @@ class CluseqClusterer {
   size_t refrozen_this_iter_ = 0;
   double scan_seconds_this_iter_ = 0.0;
   double join_seconds_this_iter_ = 0.0;
+  double freeze_seconds_this_iter_ = 0.0;
+  double assemble_seconds_this_iter_ = 0.0;
   // Whether the prefilter may prune re-cluster scans (fixed per run:
   // prefilter ∧ ¬within_scan_updates).
   bool prefilter_active_ = false;

@@ -87,6 +87,8 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("pst_nodes_total", uint64_t{stats.pst_nodes_total});
   writer.KeyValue("pst_pruned_total", uint64_t{stats.pst_pruned_total});
   writer.KeyValue("seed_seconds", stats.seed_seconds);
+  writer.KeyValue("freeze_seconds", stats.freeze_seconds);
+  writer.KeyValue("assemble_seconds", stats.assemble_seconds);
   writer.KeyValue("join_seconds", stats.join_seconds);
   writer.KeyValue("consolidate_seconds", stats.consolidate_seconds);
   writer.KeyValue("prefilter_skip_ratio", stats.prefilter_skip_ratio);

@@ -364,16 +364,22 @@ class BankSerializer {
 
     // Structural validation of every packed entry: after this, ScanAll's
     // unchecked gathers cannot leave the arena and the DP sees no NaN/+inf
-    // (-inf stays legal: smoothing-off zero-probability rows). Models are
-    // checked concurrently, each recording its first bad entry; the lowest
-    // failing model is reported, so the error is the serial scan's.
+    // (-inf stays legal: smoothing-off zero-probability rows). Transitions
+    // must also respect symbol ownership — every non-root target of
+    // Step(·, s) is reached on s alone, as in any frozen PST — which the
+    // signature build relies on. Models are checked concurrently, each
+    // recording its first bad entry; the lowest failing model is reported,
+    // so the error is the serial scan's.
     const char* entry_bytes = data + layout.entries_offset;
     std::vector<const char*> model_error(k, nullptr);
     ParallelForWeighted(
         k, num_threads, [&](size_t m) -> uint64_t { return states[m]; },
         [&](size_t m) {
+          constexpr uint32_t kNoOwner = std::numeric_limits<uint32_t>::max();
+          std::vector<uint32_t> owner(states[m], kNoOwner);
           const uint64_t extent = static_cast<uint64_t>(states[m]) * alphabet;
           const char* rows = entry_bytes + base[m] * sizeof(FrozenBank::Entry);
+          uint32_t symbol = 0;
           for (uint64_t e = 0; e < extent; ++e) {
             double ratio;
             uint32_t next, pad;
@@ -381,6 +387,7 @@ class BankSerializer {
             std::memcpy(&ratio, at, sizeof(ratio));
             std::memcpy(&next, at + 8, sizeof(next));
             std::memcpy(&pad, at + 12, sizeof(pad));
+            const uint32_t target = static_cast<uint32_t>(next / alphabet);
             if (pad != 0) {
               model_error[m] = "entry padding nonzero";
             } else if (next % alphabet != 0 || next >= extent) {
@@ -388,8 +395,15 @@ class BankSerializer {
             } else if (std::isnan(ratio) ||
                        ratio == std::numeric_limits<double>::infinity()) {
               model_error[m] = "entry log-ratio is NaN or +inf";
+            } else if (target != 0 && owner[target] != symbol) {
+              if (owner[target] == kNoOwner) {
+                owner[target] = symbol;
+              } else {
+                model_error[m] = "entry transition breaks symbol ownership";
+              }
             }
             if (model_error[m] != nullptr) return;
+            if (++symbol == alphabet) symbol = 0;
           }
         });
     for (const char* error : model_error) {

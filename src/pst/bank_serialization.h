@@ -33,7 +33,9 @@
 // once), the section table against the recomputed canonical layout,
 // per-section CRCs, size caps on every count before any allocation, the
 // bases prefix sums, and finally every arena entry (next offset in range
-// and row-aligned, log-ratio not NaN/+inf, padding zero). No on-disk byte
+// and row-aligned, log-ratio not NaN/+inf, padding zero, and no non-root
+// state the target of two different symbols — the ownership the signature
+// build relies on). No on-disk byte
 // pattern reaches ScanAll unchecked; failures return Status::Corruption
 // and bump the persistence.corruption_detected counter. Writes go through
 // WriteFileAtomic (util/file_io.h), so a crashed saver never leaves a

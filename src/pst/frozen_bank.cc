@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #if defined(__linux__)
@@ -12,6 +13,7 @@
 #endif
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -73,7 +75,10 @@ FrozenBank::EntryArena::~EntryArena() { std::free(data_); }
 
 void FrozenBank::EntryArena::resize(size_t n) {
   if (n > capacity_) {
-    size_t capacity = n;
+    // Geometric growth: a bank that gains a few seeds per iteration would
+    // otherwise reallocate and copy the whole arena every time. Capacity
+    // past size() is never touched, so it costs address space, not RSS.
+    size_t capacity = std::max(n, 2 * capacity_);
     Entry* fresh = AllocateArena(&capacity);
     if (size_ > 0) std::memcpy(fresh, data_, size_ * sizeof(Entry));
     std::free(data_);
@@ -198,8 +203,40 @@ bool FrozenBank::SimdAvailable() {
 #endif
 }
 
+namespace {
+
+/// Moves the reused slots' fixed-stride or variable-length ranges from
+/// their old place to their new one inside one buffer. `from[m]` is slot
+/// m's old index (kNotReused for slots written afresh), ascending over the
+/// reused slots, and `old_at`/`new_at` give a slot's range start. Because
+/// reused slots keep their relative order and neither layout overlaps
+/// itself, moving the leftward slots front to back and then the rightward
+/// ones back to front never overwrites a range that has yet to move.
+constexpr size_t kNotReused = std::numeric_limits<size_t>::max();
+
+template <typename T, typename OldAt, typename NewAt, typename Len>
+void MoveSlots(T* data, const std::vector<size_t>& from, OldAt old_at,
+               NewAt new_at, Len len) {
+  const size_t k = from.size();
+  for (size_t m = 0; m < k; ++m) {
+    if (from[m] == kNotReused) continue;
+    const size_t src = old_at(from[m]);
+    const size_t dst = new_at(m);
+    if (dst < src) std::memmove(data + dst, data + src, len(m) * sizeof(T));
+  }
+  for (size_t m = k; m-- > 0;) {
+    if (from[m] == kNotReused) continue;
+    const size_t src = old_at(from[m]);
+    const size_t dst = new_at(m);
+    if (dst > src) std::memmove(data + dst, data + src, len(m) * sizeof(T));
+  }
+}
+
+}  // namespace
+
 FrozenBank::AssembleStats FrozenBank::Assemble(
     std::vector<std::shared_ptr<const FrozenPst>> models, size_t num_threads) {
+  CLUSEQ_TRACE_SPAN("frozen_bank.assemble");
   AssembleStats stats;
   size_t alphabet = alphabet_size_;
   for (const auto& model : models) {
@@ -225,28 +262,76 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
       total <= static_cast<size_t>(std::numeric_limits<int32_t>::max() / 4),
       "FrozenBank arena exceeds the gather-index range");
 
-  // A slot is reusable in place when the same snapshot object sits at the
-  // same offset as in the previous layout — its rows are already correct,
-  // byte for byte. (vector::resize may still relocate the storage; contents
-  // are preserved either way.) A mapped bank has no snapshots, so nothing
-  // reuses and the assemble below rebuilds an owned arena.
-  std::vector<char> reuse(models.size(), 0);
-  for (size_t m = 0; m < models.size(); ++m) {
-    reuse[m] = alphabet == alphabet_size_ && m < models_.size() &&
-               models_[m] == models[m] && base[m] == base_[m];
-    if (reuse[m]) {
-      ++stats.models_reused;
-    } else {
-      ++stats.models_written;
+  // A slot is reusable when its snapshot object was already packed in the
+  // previous layout: rows carry model-local offsets, so its bytes (and its
+  // signature slices) are correct wherever they sit. Reuse follows the old
+  // slot order — a snapshot that moved before one packed ahead of it in
+  // the old layout is written afresh — so the moves below stay in place.
+  // A mapped bank has no snapshots, so nothing reuses and the assemble
+  // below rebuilds an owned arena.
+  std::vector<size_t> from(models.size(), kNotReused);
+  if (alphabet == alphabet_size_ && !models_.empty()) {
+    std::unordered_map<const FrozenPst*, size_t> old_slot;
+    old_slot.reserve(models_.size());
+    for (size_t m = 0; m < models_.size(); ++m) {
+      old_slot.try_emplace(models_[m].get(), m);
+    }
+    size_t next_old = 0;  // Reused old slots must ascend.
+    for (size_t m = 0; m < models.size(); ++m) {
+      const auto it = old_slot.find(models[m].get());
+      if (it == old_slot.end() || it->second < next_old) continue;
+      from[m] = it->second;
+      next_old = it->second + 1;
     }
   }
-  external_entries_ = nullptr;
-  external_storage_.reset();
+  for (size_t m = 0; m < models.size(); ++m) {
+    if (from[m] == kNotReused) {
+      ++stats.models_written;
+    } else if (from[m] != m || base[m] != base_[from[m]]) {
+      ++stats.models_written;
+      ++stats.models_moved;
+    } else {
+      ++stats.models_reused;
+    }
+  }
+  if (external_entries_ != nullptr) {
+    external_entries_ = nullptr;
+    external_storage_.reset();
+  }
 
-  // The layout and the signature shapes are settled before any slot is
-  // written, so the per-slot tasks below only fill their own ranges.
+  // Reused rows move to their new offsets before any slot is written.
+  const size_t old_k = base_.size();
+  entries_.resize(std::max(total, entries_.size()));
+  MoveSlots(
+      entries_.data(), from, [&](size_t o) { return base_[o]; },
+      [&](size_t m) { return base[m]; },
+      [&](size_t m) { return models[m]->num_states() * alphabet; });
   entries_.resize(total);
+
+  // Bound signatures follow the same reuse: a reused slot's per-model
+  // slices move with it. A tier change reshapes the per-model tables, so
+  // it forces a full signature rebuild even where rows were reused.
+  const SignatureTier tier = SelectSignatureTier(models.size(), alphabet);
+  const bool tier_changed = tier != sig_tier_ || alphabet != alphabet_size_;
   alphabet_size_ = alphabet;
+  sig_tier_ = tier;
+  const size_t cs = signature_code_space();
+  sig_maxsym_.resize(std::max(old_k, models.size()) * alphabet);
+  sig_cap_q_.resize(std::max(old_k, models.size()) * cs);
+  if (!tier_changed) {
+    MoveSlots(
+        sig_maxsym_.data(), from, [&](size_t o) { return o * alphabet; },
+        [&](size_t m) { return m * alphabet; },
+        [&](size_t) { return alphabet; });
+    MoveSlots(
+        sig_cap_q_.data(), from, [&](size_t o) { return o * cs; },
+        [&](size_t m) { return m * cs; }, [&](size_t) { return cs; });
+  }
+  sig_maxsym_.resize(models.size() * alphabet);
+  sig_cap_q_.resize(models.size() * cs);
+
+  // The layout is settled before any slot is written, so the per-slot
+  // tasks below only fill their own ranges.
   models_ = std::move(models);
   states_.resize(models_.size());
   for (size_t m = 0; m < models_.size(); ++m) {
@@ -258,20 +343,9 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
     base32_[m] = static_cast<uint32_t>(base_[m]);
   }
 
-  // Bound signatures ride the same reuse logic: a slot whose rows were kept
-  // byte-identical keeps its signature (flat per-model indexing is stable
-  // because reuse implies an unchanged alphabet and slot index). A tier
-  // change reshapes the per-model tables, so it forces a full signature
-  // rebuild even where arena rows were reused.
-  const SignatureTier tier = SelectSignatureTier(models_.size(), alphabet);
-  const bool tier_changed = tier != sig_tier_;
-  sig_tier_ = tier;
-  sig_maxsym_.resize(models_.size() * alphabet);
-  sig_cap_q_.resize(models_.size() * signature_code_space());
-
   std::vector<size_t> dirty;
   for (size_t m = 0; m < models_.size(); ++m) {
-    if (!reuse[m] || tier_changed) dirty.push_back(m);
+    if (from[m] == kNotReused || tier_changed) dirty.push_back(m);
   }
   // Packing and signature cost both scale with the model's state count.
   ParallelForWeighted(
@@ -279,7 +353,7 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
       [&](size_t i) -> uint64_t { return states_[dirty[i]]; },
       [&](size_t i) {
         const size_t m = dirty[i];
-        if (!reuse[m]) {
+        if (from[m] == kNotReused) {
           const FrozenPst& model = *models_[m];
           const std::span<const double> src_ratio = model.log_ratio_table();
           const std::span<const FrozenPst::State> src_next =
@@ -293,7 +367,8 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
                            src_next[e] * static_cast<uint32_t>(alphabet), 0};
           }
         }
-        BuildSignature(m);
+        CLUSEQ_CHECK(BuildSignature(m),
+                     "FrozenPst transitions break symbol ownership");
       });
   BuildTransposedSignatures(num_threads);
 
@@ -301,12 +376,15 @@ FrozenBank::AssembleStats FrozenBank::Assemble(
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.assembles");
   static obs::Counter& written =
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.models_written");
+  static obs::Counter& moved =
+      obs::MetricsRegistry::Get().GetCounter("frozen_bank.models_moved");
   static obs::Counter& reused =
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.models_reused");
   static obs::Gauge& arena_bytes =
       obs::MetricsRegistry::Get().GetGauge("frozen_bank.arena_bytes");
   assembles.Increment();
   written.Add(stats.models_written);
+  moved.Add(stats.models_moved);
   reused.Add(stats.models_reused);
   arena_bytes.Set(static_cast<double>(entries_.size() * sizeof(Entry)));
   return stats;
@@ -360,7 +438,8 @@ int16_t QuantizeCap16(double v) {
 
 }  // namespace
 
-void FrozenBank::BuildSignature(size_t m) {
+bool FrozenBank::BuildSignature(size_t m) {
+  CLUSEQ_TRACE_SPAN("frozen_bank.build_signature");
   const size_t a_size = alphabet_size_;
   const size_t ns = states_[m];
   const Entry* rows = scan_data() + base_[m];
@@ -368,95 +447,160 @@ void FrozenBank::BuildSignature(size_t m) {
   constexpr int16_t kQMin = std::numeric_limits<int16_t>::min();
 
   double* maxsym = sig_maxsym_.data() + m * a_size;
-  if (m < models_.size() && models_[m] != nullptr &&
-      !models_[m]->max_symbol_log_ratio().empty()) {
-    // Assembled bank: the per-symbol maxima were precomputed at freeze time.
+  const bool have_maxsym = m < models_.size() && models_[m] != nullptr &&
+                           !models_[m]->max_symbol_log_ratio().empty();
+  if (have_maxsym) {
+    // Assembled bank: the per-symbol maxima were computed at freeze time.
     const std::span<const double> src = models_[m]->max_symbol_log_ratio();
     std::copy(src.begin(), src.end(), maxsym);
   } else {
-    // Mapped bank: one pass over the packed rows.
     std::fill(maxsym, maxsym + a_size, neg_inf);
-    for (size_t u = 0; u < ns; ++u) {
-      const Entry* row = rows + u * a_size;
-      for (size_t a = 0; a < a_size; ++a) {
-        if (row[a].ratio > maxsym[a]) maxsym[a] = row[a].ratio;
-      }
-    }
   }
+  const auto fold_maxsym = [&](const Entry* row) {
+    for (size_t a = 0; a < a_size; ++a) {
+      if (row[a].ratio > maxsym[a]) maxsym[a] = row[a].ratio;
+    }
+  };
 
   if (sig_tier_ == SignatureTier::kUnigram) {
     // Unigram tier: the cap table is just the per-symbol maxima quantized,
     // so every consumer reads sig_cap_q_ the same way regardless of tier.
+    if (!have_maxsym) {
+      for (size_t u = 0; u < ns; ++u) fold_maxsym(rows + u * a_size);
+    }
     int16_t* cap1 = sig_cap_q_.data() + m * a_size;
     for (size_t a = 0; a < a_size; ++a) cap1[a] = QuantizeCap16(maxsym[a]);
-    return;
+    return true;
   }
-  if (sig_tier_ == SignatureTier::kBigram) {
-    // cap2[b·A + a] = max of ratio(v, a) over v in the image of Step(·, b).
-    // That image is small — every state reached by consuming b has a label
-    // ending in b (or is the root), and those sets are disjoint across b,
-    // so Σ_b |image_b| ≤ states + A. Folding each distinct successor row
-    // once per b (epoch-stamp dedup) keeps construction at O(states · A),
-    // the same order as packing the rows in the first place.
+
+  // Context tiers. cap2[b·A + a] is the max of ratio(v, a) over the image
+  // of Step(·, b); cap3[(c·A + b)·A + a] over the two-step image
+  // Step(Step(·, c), b). Both are admissible for any position whose
+  // preceding symbols are (c,) b, whatever the state before them.
+  //
+  // The images come from *ownership*: every non-root target of Step(·, b)
+  // has a label ending in b, so each non-root state is reached on exactly
+  // one symbol, its owner — the image of b is the states b owns, plus the
+  // root when some Step(·, b) falls back to it. One sequential pass over
+  // the rows quantizes each row once and records every target's owner; the
+  // caps are then folded from those per-owner buckets. For the trigram
+  // tier the same pass records, per state w, which owners its predecessors
+  // have: cap3[c][owner(w)] folds w for each such c. A state at depth ≥ 2
+  // has predecessors of one owner only (the second-to-last symbol of its
+  // label), so the rare multi-owner states (depth 1) keep a small side set.
+  // Quantization is monotone, so folding quantized values gives exactly
+  // the quantized max — still an admissible cap.
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  const bool trigram = sig_tier_ == SignatureTier::kTrigram;
+  std::vector<int16_t> qrows(ns * a_size);
+  std::vector<uint32_t> owner(ns, kNone);
+  std::vector<uint8_t> root_in_image(a_size, 0);
+  // Trigram bookkeeping: pred_owner[w] is the one owner of w's
+  // predecessors (< A), or A + r when they have several, flagged in row r
+  // of shared_owners (A flags per row); root_pair marks the pairs (c, b)
+  // whose two-step image holds the root.
+  std::vector<uint32_t> pred_owner(trigram ? ns : 0, kNone);
+  std::vector<uint8_t> shared_owners;
+  std::vector<uint8_t> root_pair(trigram ? a_size * a_size : 0, 0);
+  const auto record_pair = [&](uint32_t c, uint32_t b, uint32_t w) {
+    if (w == 0) {
+      root_pair[c * a_size + b] = 1;
+      return;
+    }
+    uint32_t& po = pred_owner[w];
+    if (po == c) return;
+    if (po == kNone) {
+      po = c;
+      return;
+    }
+    if (po < a_size) {  // A second owner: move w's owners to a shared row.
+      const size_t r = shared_owners.size() / a_size;
+      shared_owners.resize(shared_owners.size() + a_size, 0);
+      shared_owners[r * a_size + po] = 1;
+      po = static_cast<uint32_t>(a_size + r);
+    }
+    shared_owners[(po - a_size) * a_size + c] = 1;
+  };
+  // Records the two-step pairs of row u, whose owner is c.
+  const auto record_row = [&](uint32_t c, const Entry* row) {
+    for (size_t b = 0; b < a_size; ++b) {
+      record_pair(c, static_cast<uint32_t>(b),
+                  row[b].next / static_cast<uint32_t>(a_size));
+    }
+  };
+
+  std::vector<uint32_t> deferred;
+  for (size_t u = 0; u < ns; ++u) {
+    const Entry* row = rows + u * a_size;
+    int16_t* q = qrows.data() + u * a_size;
+    for (size_t a = 0; a < a_size; ++a) {
+      q[a] = QuantizeCap16(row[a].ratio);
+      const uint32_t w = row[a].next / static_cast<uint32_t>(a_size);
+      if (w == 0) {
+        root_in_image[a] = 1;
+      } else if (owner[w] == kNone) {
+        owner[w] = static_cast<uint32_t>(a);
+      } else if (owner[w] != a) {
+        return false;
+      }
+    }
+    if (!have_maxsym) fold_maxsym(row);
+    if (!trigram || u == 0) continue;
+    // Depth-major numbering reaches every state's shortest predecessor
+    // first, so its owner is known here; any other order defers the row.
+    if (owner[u] == kNone) {
+      deferred.push_back(static_cast<uint32_t>(u));
+    } else {
+      record_row(owner[u], row);
+    }
+  }
+
+  const auto fold = [a_size](const int16_t* q, int16_t* caps) {
+    for (size_t a = 0; a < a_size; ++a) caps[a] = std::max(caps[a], q[a]);
+  };
+  if (!trigram) {
     int16_t* cap2 = sig_cap_q_.data() + m * a_size * a_size;
     std::fill(cap2, cap2 + a_size * a_size, kQMin);
-    std::vector<uint32_t> stamp(ns, 0);
-    for (size_t b = 0; b < a_size; ++b) {
-      const uint32_t epoch = static_cast<uint32_t>(b) + 1;
-      int16_t* caps = cap2 + b * a_size;
-      for (size_t u = 0; u < ns; ++u) {
-        const uint32_t v = rows[u * a_size + b].next / a_size;
-        if (stamp[v] == epoch) continue;
-        stamp[v] = epoch;
-        const Entry* vrow = rows + static_cast<size_t>(v) * a_size;
-        for (size_t a = 0; a < a_size; ++a) {
-          // Quantization is monotone, so folding quantized values gives
-          // exactly the quantized max — still an admissible cap.
-          const int16_t qv = QuantizeCap16(vrow[a].ratio);
-          if (qv > caps[a]) caps[a] = qv;
-        }
+    for (size_t w = 1; w < ns; ++w) {
+      if (owner[w] != kNone) {
+        fold(qrows.data() + w * a_size, cap2 + owner[w] * a_size);
       }
     }
-    return;
+    for (size_t b = 0; b < a_size; ++b) {
+      if (root_in_image[b]) fold(qrows.data(), cap2 + b * a_size);
+    }
+    return true;
   }
-  // Trigram tier: cap3[(c·A + b)·A + a] = max of ratio(w, a) over w in the
-  // two-step image Step(Step(·, c), b). Admissible for any position whose
-  // two preceding symbols are (c, b), whatever the state before them. The
-  // one-step image of c is collected once (epoch-stamp dedup, as in cap2),
-  // then stepped on b with a second stamp per (c, b) — Σ|images| stays
-  // near states·A for suffix-automaton-shaped transition structure, and
-  // the tier is budget-gated to small k·A³ anyway.
+
+  // States never reached stay out of every image; the rest of the deferred
+  // rows, and the root's row for each symbol whose image holds the root,
+  // complete the pairs.
+  for (const uint32_t u : deferred) {
+    if (owner[u] != kNone) record_row(owner[u], rows + u * a_size);
+  }
+  for (size_t c = 0; c < a_size; ++c) {
+    if (root_in_image[c]) record_row(static_cast<uint32_t>(c), rows);
+  }
   int16_t* cap3 = sig_cap_q_.data() + m * a_size * a_size * a_size;
   std::fill(cap3, cap3 + a_size * a_size * a_size, kQMin);
-  std::vector<uint32_t> stamp1(ns, 0);
-  std::vector<uint32_t> stamp2(ns, 0);
-  std::vector<uint32_t> image;
-  image.reserve(std::min<size_t>(ns, 256));
-  for (size_t c = 0; c < a_size; ++c) {
-    image.clear();
-    const uint32_t epoch1 = static_cast<uint32_t>(c) + 1;
-    for (size_t u = 0; u < ns; ++u) {
-      const uint32_t v = rows[u * a_size + c].next / a_size;
-      if (stamp1[v] == epoch1) continue;
-      stamp1[v] = epoch1;
-      image.push_back(v);
+  for (size_t w = 1; w < ns; ++w) {
+    const uint32_t po = pred_owner[w];
+    if (po == kNone) continue;
+    const int16_t* q = qrows.data() + w * a_size;
+    const size_t b = owner[w];
+    if (po < a_size) {
+      fold(q, cap3 + (po * a_size + b) * a_size);
+      continue;
     }
-    for (size_t b = 0; b < a_size; ++b) {
-      const uint32_t epoch2 = static_cast<uint32_t>(c * a_size + b) + 1;
-      int16_t* caps = cap3 + (c * a_size + b) * a_size;
-      for (const uint32_t v : image) {
-        const uint32_t w = rows[static_cast<size_t>(v) * a_size + b].next /
-                           a_size;
-        if (stamp2[w] == epoch2) continue;
-        stamp2[w] = epoch2;
-        const Entry* wrow = rows + static_cast<size_t>(w) * a_size;
-        for (size_t a = 0; a < a_size; ++a) {
-          const int16_t qv = QuantizeCap16(wrow[a].ratio);
-          if (qv > caps[a]) caps[a] = qv;
-        }
-      }
+    const uint8_t* set = shared_owners.data() + (po - a_size) * a_size;
+    for (size_t c = 0; c < a_size; ++c) {
+      if (set[c]) fold(q, cap3 + (c * a_size + b) * a_size);
     }
   }
+  for (size_t cb = 0; cb < a_size * a_size; ++cb) {
+    if (root_pair[cb]) fold(qrows.data(), cap3 + cb * a_size);
+  }
+  return true;
 }
 
 void FrozenBank::BuildAllSignatures(size_t num_threads) {
@@ -466,7 +610,10 @@ void FrozenBank::BuildAllSignatures(size_t num_threads) {
   sig_cap_q_.resize(k * signature_code_space());
   ParallelForWeighted(
       k, num_threads, [&](size_t m) -> uint64_t { return states_[m]; },
-      [&](size_t m) { BuildSignature(m); });
+      [&](size_t m) {
+        CLUSEQ_CHECK(BuildSignature(m),
+                     "validated rows break symbol ownership");
+      });
   BuildTransposedSignatures(num_threads);
 }
 

@@ -78,6 +78,9 @@ class FrozenBank {
 
   struct AssembleStats {
     size_t models_written = 0;  ///< Slots whose arena rows were (re)written.
+    /// Written slots whose snapshot was already packed at another offset:
+    /// their rows and signature were copied as they were, not rebuilt.
+    size_t models_moved = 0;
     size_t models_reused = 0;   ///< Slots left byte-identical in place.
   };
 
@@ -368,8 +371,11 @@ class FrozenBank {
   /// Recomputes model m's bound signature from its packed arena rows
   /// (works identically for assembled and mapped banks). The sig_ arrays
   /// must already be sized for the current layout and tier. Writes only
-  /// model m's slices, so distinct models may build concurrently.
-  void BuildSignature(size_t m);
+  /// model m's slices, so distinct models may build concurrently. Returns
+  /// false, with the slices unspecified, when a non-root state is the
+  /// transition target of two different symbols — rows no FrozenPst
+  /// produces (see the ownership argument in the definition).
+  bool BuildSignature(size_t m);
   /// Sizes the sig_ arrays for the current layout and rebuilds every model
   /// on the pool (the .fbank load path, where nothing is reusable).
   void BuildAllSignatures(size_t num_threads);

@@ -14,207 +14,247 @@ namespace {
 
 constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
 
-// Transient trie mirrored from the live Pst (plus closure states), indexed
-// densely. Children extend the context one symbol further into the past,
-// exactly like the live trie, so a node's parent is the one-symbol-shorter
-// suffix of its label.
-struct ScratchNode {
-  PstNodeId live = kNoPstNode;  // Backing live node; kNoPstNode for closure.
-  uint32_t parent = 0;          // Drop the oldest symbol of the label.
-  SymbolId edge = 0;            // Oldest symbol of the label.
-  uint32_t depth = 0;
-  std::vector<std::pair<SymbolId, uint32_t>> children;  // Sorted by symbol.
+// Transient trie mirrored from the live Pst (plus closure nodes), as flat
+// parallel arrays indexed by a dense scratch id. Children extend the
+// context one symbol further into the past, exactly like the live trie, so
+// a node's parent is the one-symbol-shorter suffix of its label.
+//
+// The live nodes are mirrored breadth-first, so the live children of node
+// h hold the contiguous, symbol-sorted id range
+// [child_begin[h], child_begin[h + 1]). Closure nodes (appended after every
+// live node) are rare — only leaf pruning creates them — and live in a side
+// map keyed by (parent, symbol).
+class ScratchTrie {
+ public:
+  ScratchTrie(const Pst& pst, uint64_t significance_threshold) {
+    const size_t reserve = pst.NumNodes();
+    for (auto* v : {&parent_, &edge_, &last_, &depth_}) v->reserve(reserve);
+    live_.reserve(reserve);
+    significant_.reserve(reserve);
+    child_begin_.reserve(reserve + 1);
+    live_.push_back(kPstRoot);
+    Append(0, 0);
+    // Visit order is id order, so node h's children are appended as one
+    // run while h is visited; Children() is already sorted by symbol. The
+    // visit order jumps around the live node arena, so the loop prefetches
+    // the node a few visits ahead and, once that header has arrived, its
+    // child list.
+    constexpr uint32_t kNodeLead = 16;
+    constexpr uint32_t kChildLead = 8;
+    for (uint32_t h = 0; h < live_.size(); ++h) {
+      if (h + kNodeLead < live_.size()) {
+        __builtin_prefetch(&pst.Children(live_[h + kNodeLead]));
+      }
+      if (h + kChildLead < live_.size()) {
+        __builtin_prefetch(pst.Children(live_[h + kChildLead]).data());
+      }
+      significant_.push_back(pst.NodeCount(live_[h]) >=
+                             significance_threshold);
+      child_begin_.push_back(static_cast<uint32_t>(live_.size()));
+      for (const auto& [symbol, live_child] : pst.Children(live_[h])) {
+        live_.push_back(live_child);
+        Append(h, symbol);
+      }
+    }
+    num_live_ = static_cast<uint32_t>(live_.size());
+    child_begin_.push_back(num_live_);
+  }
+
+  size_t size() const { return parent_.size(); }
+  /// Backing live node, or kNoPstNode for a closure node.
+  PstNodeId live(uint32_t u) const {
+    return u < num_live_ ? live_[u] : kNoPstNode;
+  }
+  /// Whether u is a live node whose count reaches the significance
+  /// threshold (closure nodes carry no counts).
+  bool significant(uint32_t u) const {
+    return u < num_live_ && significant_[u];
+  }
+  uint32_t parent(uint32_t u) const { return parent_[u]; }
+  /// Newest symbol of the label (the one the context ends in).
+  SymbolId last(uint32_t u) const { return last_[u]; }
+  uint32_t depth(uint32_t u) const { return depth_[u]; }
+  /// The node whose label is label(u) minus its newest symbol. Valid after
+  /// CloseUnderDropLast().
+  uint32_t drop_last(uint32_t u) const { return drop_last_[u]; }
+
+  /// Closes the label set under dropping the newest symbol, creating
+  /// count-less closure nodes as needed. The trie's label set is always
+  /// suffix-closed (ancestors), but leaf pruning can leave "ba" in the tree
+  /// with "b" gone; transitions are only well-defined once the label set is
+  /// also closed under taking label prefixes. Since
+  /// label(u)[:-1] = edge(u) · label(parent(u))[:-1] and every parent has a
+  /// smaller id than its child, one ascending pass resolves every node —
+  /// including the closure nodes it appends, whose parents also precede
+  /// them.
+  void CloseUnderDropLast() {
+    drop_last_.assign(size(), 0);
+    for (uint32_t u = 0; u < size(); ++u) {
+      if (depth_[u] <= 1) continue;  // Label minus its only symbol: root.
+      const uint32_t mp = drop_last_[parent_[u]];
+      uint32_t t = FindChild(mp, edge_[u]);
+      if (t == kUnset) {
+        t = static_cast<uint32_t>(size());
+        Append(mp, edge_[u]);
+        closure_children_.emplace(Key(mp, edge_[u]), t);
+        drop_last_.push_back(0);
+      }
+      drop_last_[u] = t;
+    }
+  }
+
+ private:
+  static uint64_t Key(uint32_t parent, SymbolId symbol) {
+    return (static_cast<uint64_t>(parent) << 32) | symbol;
+  }
+
+  // Appends the child of `parent` along `symbol` (the oldest symbol of the
+  // child's label).
+  void Append(uint32_t parent, SymbolId symbol) {
+    const bool root = parent_.empty();
+    const uint32_t depth = root ? 0 : depth_[parent] + 1;
+    parent_.push_back(parent);
+    edge_.push_back(symbol);
+    last_.push_back(depth <= 1 ? symbol : last_[parent]);
+    depth_.push_back(depth);
+  }
+
+  uint32_t FindChild(uint32_t u, SymbolId symbol) const {
+    if (u < num_live_) {
+      const SymbolId* first = edge_.data() + child_begin_[u];
+      const SymbolId* last = edge_.data() + child_begin_[u + 1];
+      const SymbolId* it = std::lower_bound(first, last, symbol);
+      if (it != last && *it == symbol) {
+        return static_cast<uint32_t>(it - edge_.data());
+      }
+    }
+    if (closure_children_.empty()) return kUnset;
+    const auto it = closure_children_.find(Key(u, symbol));
+    return it == closure_children_.end() ? kUnset : it->second;
+  }
+
+  std::vector<PstNodeId> live_;     // Live nodes only.
+  std::vector<char> significant_;   // Live nodes only.
+  std::vector<uint32_t> parent_;
+  std::vector<SymbolId> edge_;      // Oldest symbol of the label.
+  std::vector<SymbolId> last_;
+  std::vector<uint32_t> depth_;
+  std::vector<uint32_t> child_begin_;  // Live nodes only, plus an end mark.
+  std::vector<uint32_t> drop_last_;
+  uint32_t num_live_ = 0;
+  std::unordered_map<uint64_t, uint32_t> closure_children_;
 };
-
-uint32_t FindChild(const std::vector<ScratchNode>& nodes, uint32_t id,
-                   SymbolId symbol) {
-  const auto& children = nodes[id].children;
-  auto it = std::lower_bound(
-      children.begin(), children.end(), symbol,
-      [](const std::pair<SymbolId, uint32_t>& e, SymbolId k) {
-        return e.first < k;
-      });
-  if (it == children.end() || it->first != symbol) return kUnset;
-  return it->second;
-}
-
-uint32_t AddChild(std::vector<ScratchNode>* nodes, uint32_t parent,
-                  SymbolId symbol, PstNodeId live) {
-  uint32_t id = static_cast<uint32_t>(nodes->size());
-  ScratchNode node;
-  node.live = live;
-  node.parent = parent;
-  node.edge = symbol;
-  node.depth = (*nodes)[parent].depth + 1;
-  nodes->push_back(std::move(node));
-  auto& children = (*nodes)[parent].children;
-  auto it = std::lower_bound(
-      children.begin(), children.end(), symbol,
-      [](const std::pair<SymbolId, uint32_t>& e, SymbolId k) {
-        return e.first < k;
-      });
-  children.insert(it, {symbol, id});
-  return id;
-}
-
-// Returns the scratch node whose label is label(u) minus its most recent
-// symbol, creating count-less closure nodes as needed (memoized in
-// `drop_last`). The trie's label set is always suffix-closed (ancestors),
-// but leaf pruning can leave "ba" in the tree with "b" gone; transitions
-// are only well-defined once the label set is also closed under dropping
-// the newest symbol, i.e. under taking label prefixes.
-uint32_t EnsureDropLast(uint32_t u, std::vector<ScratchNode>* nodes,
-                        std::vector<uint32_t>* drop_last) {
-  if (u < drop_last->size() && (*drop_last)[u] != kUnset) {
-    return (*drop_last)[u];
-  }
-  if (drop_last->size() < nodes->size()) {
-    drop_last->resize(nodes->size(), kUnset);
-  }
-  const uint32_t depth = (*nodes)[u].depth;
-  uint32_t result;
-  if (depth <= 1) {
-    result = 0;  // label minus its only symbol is the empty context.
-  } else {
-    // label(u)[:-1] = edge(u) · label(parent(u))[:-1].
-    const uint32_t parent = (*nodes)[u].parent;
-    const SymbolId edge = (*nodes)[u].edge;
-    const uint32_t mp = EnsureDropLast(parent, nodes, drop_last);
-    uint32_t t = FindChild(*nodes, mp, edge);
-    if (t == kUnset) t = AddChild(nodes, mp, edge, kNoPstNode);
-    result = t;
-  }
-  if (drop_last->size() < nodes->size()) {
-    drop_last->resize(nodes->size(), kUnset);
-  }
-  (*drop_last)[u] = result;
-  return result;
-}
 
 }  // namespace
 
 FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
   alphabet_size_ = pst.alphabet_size();
   max_depth_ = pst.options().max_depth;
-  const uint64_t sig = pst.options().significance_threshold;
+  const size_t a_size = alphabet_size_;
 
-  // Phase 1: mirror every live node, breadth-first so depths are grouped.
-  std::vector<ScratchNode> nodes;
-  nodes.emplace_back();  // Root.
-  nodes[0].live = kPstRoot;
-  {
-    // (live id, scratch id) queue; children come back sorted by symbol.
-    std::vector<std::pair<PstNodeId, uint32_t>> queue = {{kPstRoot, 0}};
-    for (size_t head = 0; head < queue.size(); ++head) {
-      auto [live_id, scratch_id] = queue[head];
-      for (const auto& [symbol, live_child] : pst.Children(live_id)) {
-        uint32_t child = AddChild(&nodes, scratch_id, symbol, live_child);
-        queue.emplace_back(live_child, child);
-      }
-    }
-  }
-
-  // Phase 2: close the label set under dropping the newest symbol. The loop
-  // bound re-reads nodes.size() because closure nodes append, and those
-  // need their own closure too (each created node is strictly shallower
-  // than its creator, so this terminates).
-  {
-    std::vector<uint32_t> drop_last(nodes.size(), kUnset);
-    for (uint32_t u = 0; u < nodes.size(); ++u) {
-      EnsureDropLast(u, &nodes, &drop_last);
-    }
-  }
+  // Phases 1–2: mirror every live node breadth-first, then complete the
+  // label set with closure nodes.
+  ScratchTrie nodes(pst, pst.options().significance_threshold);
+  nodes.CloseUnderDropLast();
 
   // Phase 3: number states depth-major so a scoring walk, which can only
-  // move between adjacent depths, touches adjacent table rows.
+  // move between adjacent depths, touches adjacent table rows. A stable
+  // counting sort by depth: within a depth, states keep scratch-id order.
   const size_t n = nodes.size();
+  uint32_t deepest = 0;
+  for (uint32_t u = 0; u < n; ++u) deepest = std::max(deepest, nodes.depth(u));
+  // level_begin[d] = first state at depth d; level_begin[deepest + 1] = n.
+  std::vector<uint32_t> level_begin(deepest + 2, 0);
+  for (uint32_t u = 0; u < n; ++u) ++level_begin[nodes.depth(u) + 1];
+  for (uint32_t d = 0; d <= deepest; ++d) {
+    level_begin[d + 1] += level_begin[d];
+  }
   std::vector<uint32_t> order(n);
-  for (uint32_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&nodes](uint32_t a, uint32_t b) {
-                     return nodes[a].depth < nodes[b].depth;
-                   });
   std::vector<State> state_of(n);
-  for (uint32_t pos = 0; pos < n; ++pos) state_of[order[pos]] = pos;
-
   depth_.resize(n);
-  next_.resize(n * alphabet_size_);
-  log_ratio_.resize(n * alphabet_size_);
-  // All depths up front: the transition recurrence below inspects
-  // depth_[q] for states q at the *same* depth as the one being processed,
-  // which a fill-as-you-go scheme would leave unwritten.
-  for (uint32_t pos = 0; pos < n; ++pos) depth_[pos] = nodes[order[pos]].depth;
+  {
+    std::vector<uint32_t> fill = level_begin;
+    for (uint32_t u = 0; u < n; ++u) {
+      const uint32_t pos = fill[nodes.depth(u)]++;
+      order[pos] = u;
+      state_of[u] = pos;
+      depth_[pos] = nodes.depth(u);
+    }
+  }
 
-  // Phase 4: transitions and prediction rows, processed shallow-to-deep so
-  // every node's trie parent is already resolved.
+  // Phase 4: transitions.
   //
   //   step(u, a) = state of the longest tracked suffix of label(u)·a
   //              = node(label(u)·a) if tracked, else step(parent(u), a)
   //
-  // where node(label(u)·a), when present, is the child along edge(u) of the
-  // *full* extension step(parent(u), a) — the textbook failure-link
-  // recurrence, with the parent playing the suffix-link role (in a
-  // reversed-context trie the one-shorter suffix IS the parent).
-  //
-  // in_r marks nodes whose entire suffix chain exists and is significant —
-  // precisely the nodes the live PredictionNode() walk can reach; pred is
-  // the live node a walk with this state's context would land on.
-  std::vector<char> in_r(n, 0);
-  std::vector<PstNodeId> pred(n, kPstRoot);
-  // States sharing a prediction node share a log-ratio row; copy instead of
-  // recomputing (misses only on distinct prediction nodes).
-  std::unordered_map<PstNodeId, State> row_cache;
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    const uint32_t u = order[pos];
-    const ScratchNode& node = nodes[u];
-    const size_t row = static_cast<size_t>(pos) * alphabet_size_;
-
-    if (u == 0) {
-      in_r[u] = 1;
-      pred[u] = kPstRoot;
-      for (SymbolId a = 0; a < alphabet_size_; ++a) {
-        uint32_t child = FindChild(nodes, 0, a);
-        next_[row + a] = child == kUnset ? kRootState : state_of[child];
-      }
-    } else {
-      const uint32_t p = node.parent;
-      in_r[u] = in_r[p] && node.live != kNoPstNode &&
-                pst.NodeCount(node.live) >= sig;
-      pred[u] = in_r[u] ? node.live : pred[p];
-      const size_t parent_row =
-          static_cast<size_t>(state_of[p]) * alphabet_size_;
-      for (SymbolId a = 0; a < alphabet_size_; ++a) {
-        const State q = next_[parent_row + a];
-        State target = q;
-        if (depth_[q] == nodes[p].depth + 1) {
-          // label(parent)·a is tracked; try the full label(u)·a below it.
-          uint32_t child = FindChild(nodes, order[q], node.edge);
-          if (child != kUnset) target = state_of[child];
-        }
-        next_[row + a] = target;
-      }
+  // — the textbook failure-link recurrence, with the parent playing the
+  // suffix-link role (in a reversed-context trie the one-shorter suffix IS
+  // the parent). Every tracked y other than the root is node(label(u)·a)
+  // for exactly one pair: u = drop_last(y), a = last(y). So each row starts
+  // as a copy of its parent's row and is then overridden at its tracked
+  // extensions, level by level: a row is final before the next level
+  // copies it.
+  next_.resize(n * a_size);
+  std::fill_n(next_.begin(), a_size, kRootState);
+  for (uint32_t d = 0; d <= deepest; ++d) {
+    for (uint32_t pos = level_begin[d]; d > 0 && pos < level_begin[d + 1];
+         ++pos) {
+      const size_t parent = state_of[nodes.parent(order[pos])];
+      std::copy_n(next_.begin() + static_cast<ptrdiff_t>(parent * a_size),
+                  a_size,
+                  next_.begin() + static_cast<ptrdiff_t>(pos) *
+                                      static_cast<ptrdiff_t>(a_size));
     }
-
-    auto [it, inserted] = row_cache.try_emplace(pred[u], pos);
-    if (!inserted) {
-      const size_t src = static_cast<size_t>(it->second) * alphabet_size_;
-      std::copy_n(log_ratio_.begin() + static_cast<ptrdiff_t>(src),
-                  alphabet_size_,
-                  log_ratio_.begin() + static_cast<ptrdiff_t>(row));
-    } else {
-      for (SymbolId a = 0; a < alphabet_size_; ++a) {
-        // Same operations as the live path (NodeProbability → log → minus
-        // background) so frozen scoring is bit-for-bit identical.
-        const double p = pst.NodeProbability(pred[u], a);
-        const double log_p = p > 0.0 ? std::log(p) : neg_inf;
-        log_ratio_[row + a] = log_p - background.LogProbability(a);
-      }
+    if (d == deepest) break;
+    for (uint32_t pos = level_begin[d + 1]; pos < level_begin[d + 2]; ++pos) {
+      const uint32_t y = order[pos];
+      next_[static_cast<size_t>(state_of[nodes.drop_last(y)]) * a_size +
+            nodes.last(y)] = pos;
     }
   }
 
-  ComputeDerived();
+  // Phase 5: prediction rows, shallow-to-deep so every node's trie parent
+  // is already resolved. in_r marks nodes whose entire suffix chain exists
+  // and is significant — precisely the nodes the live PredictionNode() walk
+  // can reach; pred is the (scratch id of the) node a live walk with this
+  // state's context would land on. States sharing a prediction node share a
+  // log-ratio row, copied from row_of[pred] instead of recomputed.
+  log_ratio_.resize(n * a_size);
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  max_symbol_log_ratio_.assign(a_size, neg_inf);
+  std::vector<char> in_r(n, 0);
+  std::vector<uint32_t> pred(n, 0);
+  std::vector<State> row_of(n, kUnset);
+  in_r[0] = 1;
+  for (uint32_t pos = 0; pos < n; ++pos) {
+    const uint32_t u = order[pos];
+    if (u != 0) {
+      const uint32_t p = nodes.parent(u);
+      in_r[u] = in_r[p] && nodes.significant(u);
+      pred[u] = in_r[u] ? u : pred[p];
+    }
+    double* ratio_row = log_ratio_.data() + static_cast<size_t>(pos) * a_size;
+    State& source = row_of[pred[u]];
+    if (source != kUnset) {
+      std::copy_n(log_ratio_.data() + static_cast<size_t>(source) * a_size,
+                  a_size, ratio_row);
+      continue;
+    }
+    source = pos;
+    const PstNodeId pred_live = nodes.live(pred[u]);
+    for (SymbolId a = 0; a < a_size; ++a) {
+      // Same operations as the live path (NodeProbability → log → minus
+      // background) so frozen scoring is bit-for-bit identical.
+      const double p = pst.NodeProbability(pred_live, a);
+      const double log_p = p > 0.0 ? std::log(p) : neg_inf;
+      ratio_row[a] = log_p - background.LogProbability(a);
+      // A copied row repeats a computed one, so the per-symbol maxima need
+      // only the computed rows.
+      if (ratio_row[a] > max_symbol_log_ratio_[a]) {
+        max_symbol_log_ratio_[a] = ratio_row[a];
+      }
+    }
+  }
 
   static obs::Counter& freezes =
       obs::MetricsRegistry::Get().GetCounter("frozen_pst.freezes");
@@ -222,19 +262,6 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
       obs::MetricsRegistry::Get().GetCounter("frozen_pst.states");
   freezes.Increment();
   states.Add(n);
-}
-
-void FrozenPst::ComputeDerived() {
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-  max_symbol_log_ratio_.assign(alphabet_size_, neg_inf);
-  const size_t n = depth_.size();
-  for (size_t u = 0; u < n; ++u) {
-    const size_t row = u * alphabet_size_;
-    for (size_t a = 0; a < alphabet_size_; ++a) {
-      const double r = log_ratio_[row + a];
-      if (r > max_symbol_log_ratio_[a]) max_symbol_log_ratio_[a] = r;
-    }
-  }
 }
 
 }  // namespace cluseq

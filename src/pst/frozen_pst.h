@@ -132,10 +132,6 @@ class FrozenPst {
   }
 
  private:
-  /// Rebuilds max_symbol_log_ratio_ from log_ratio_. Called at the end of
-  /// freezing.
-  void ComputeDerived();
-
   size_t alphabet_size_ = 0;
   size_t max_depth_ = 0;
   // Flat state-major tables, one row of `alphabet_size_` entries per state.

@@ -212,11 +212,6 @@ PstNodeId Pst::Child(PstNodeId id, SymbolId symbol) const {
   return entry == nullptr ? kNoPstNode : entry->second;
 }
 
-std::vector<std::pair<SymbolId, PstNodeId>> Pst::Children(
-    PstNodeId id) const {
-  return nodes_[id].children;
-}
-
 std::vector<SymbolId> Pst::NodeLabel(PstNodeId id) const {
   // Walking leaf-to-root yields the context in natural order: the deepest
   // edge is the symbol furthest before the prediction point.

@@ -158,8 +158,12 @@ class Pst {
   /// or kNoPstNode.
   PstNodeId Child(PstNodeId id, SymbolId symbol) const;
 
-  /// All (symbol, child) pairs of a node, sorted by symbol.
-  std::vector<std::pair<SymbolId, PstNodeId>> Children(PstNodeId id) const;
+  /// All (symbol, child) pairs of a node, sorted by symbol. The reference
+  /// stays valid until the tree is next modified.
+  const std::vector<std::pair<SymbolId, PstNodeId>>& Children(
+      PstNodeId id) const {
+    return nodes_[id].children;
+  }
 
   /// The node's label in natural (un-reversed) order, i.e. the context
   /// segment the node represents. Root → empty.

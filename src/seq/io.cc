@@ -12,7 +12,15 @@ namespace cluseq {
 namespace {
 
 // Parses ">id label=3" header lines. The label annotation is optional.
-void ParseFastaHeader(std::string_view header, std::string* id,
+// A label field is a whole decimal int32 that is kNoLabel or a class id:
+// anything else would either merge into another class or index past the
+// evaluator's per-class tables.
+bool ParseLabel(std::string_view text, Label* label) {
+  return ParseInt32(text, label) && *label >= kNoLabel;
+}
+
+// Returns false when a label= token does not parse (see ParseLabel).
+bool ParseFastaHeader(std::string_view header, std::string* id,
                       Label* label) {
   *label = kNoLabel;
   header = StripAsciiWhitespace(header);
@@ -22,11 +30,11 @@ void ParseFastaHeader(std::string_view header, std::string* id,
     header = StripAsciiWhitespace(header.substr(space + 1));
     space = header.find(' ');
     std::string_view token = header.substr(0, space);
-    if (StartsWith(token, "label=")) {
-      *label = static_cast<Label>(
-          std::strtol(std::string(token.substr(6)).c_str(), nullptr, 10));
+    if (StartsWith(token, "label=") && !ParseLabel(token.substr(6), label)) {
+      return false;
     }
   }
+  return true;
 }
 
 Status FlushFastaRecord(const std::string& id, Label label,
@@ -63,7 +71,11 @@ Status ReadFasta(std::istream& in, SequenceDatabase* db,
       if (in_record) {
         CLUSEQ_RETURN_NOT_OK(FlushFastaRecord(id, label, body, db));
       }
-      ParseFastaHeader(sv.substr(1), &id, &label);
+      if (!ParseFastaHeader(sv.substr(1), &id, &label)) {
+        return Status::Corruption(StringPrintf(
+            "FASTA line %zu: label is not -1 or a nonnegative int32",
+            line_no));
+      }
       body.clear();
       in_record = true;
       record_line = line_no;
@@ -141,8 +153,12 @@ Status ReadTsv(std::istream& in, SequenceDatabase* db,
       return OversizedRecord("TSV", fields[0], line_no,
                              options.max_record_bytes);
     }
-    Label label =
-        static_cast<Label>(std::strtol(fields[1].c_str(), nullptr, 10));
+    Label label = kNoLabel;
+    if (!ParseLabel(fields[1], &label)) {
+      return Status::Corruption(StringPrintf(
+          "TSV line %zu: label '%s' is not -1 or a nonnegative int32",
+          line_no, fields[1].c_str()));
+    }
     CLUSEQ_RETURN_NOT_OK(db->AddText(fields[2], fields[0], label));
   }
   return Status::OK();

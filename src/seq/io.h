@@ -9,7 +9,9 @@
 //    one character each.
 //
 //  * TSV lines: one sequence per line, "id <TAB> label <TAB> text".
-//    A label of -1 means unlabeled.
+//
+// A label (either format) is a whole decimal int32 that is -1 (unlabeled)
+// or a nonnegative class id; anything else is Corruption naming the line.
 //
 // Both readers are streaming-friendly: they hold one record in memory at a
 // time, accept CRLF line endings, accept a final record without a trailing

@@ -25,6 +25,24 @@ T ReadPod(const char* p) {
   return value;
 }
 
+// Index of the first of `count` packed symbols that is >= `limit`, or
+// `count` if none is. A branch-free pass decides whether any is (the OR of
+// the comparisons vectorizes even on baseline SSE2, which has no unsigned
+// 32-bit max); only then does a second pass find the first. Kept out of
+// line: inlined into the read loop below, GCC leaves the pass scalar.
+__attribute__((noinline)) size_t FirstSymbolAtLeast(const char* symbols,
+                                                    size_t count,
+                                                    uint32_t limit) {
+  uint32_t any = 0;
+  for (size_t i = 0; i < count; ++i) {
+    any |= ReadPod<SymbolId>(symbols + i * sizeof(SymbolId)) >= limit;
+  }
+  if (any == 0) return count;
+  size_t i = 0;
+  while (ReadPod<SymbolId>(symbols + i * sizeof(SymbolId)) < limit) ++i;
+  return i;
+}
+
 Status Corrupt(const std::string& path, const std::string& detail) {
   return Status::Corruption(
       StringPrintf("%s: %s", path.c_str(), detail.c_str()));
@@ -78,19 +96,20 @@ Status VerifyDataStreaming(const std::string& path, uint64_t expected_bytes,
     crc = Crc32cExtend(crc, buffer.data(), filled);
     // Range-check the payload symbols in this chunk.
     const uint64_t chunk_end = offset + filled;
-    uint64_t sym_begin = std::max<uint64_t>(offset, kSeqDbDataHeaderBytes);
-    for (; sym_begin + sizeof(SymbolId) <= chunk_end;
-         sym_begin += sizeof(SymbolId)) {
-      const SymbolId s =
-          ReadPod<SymbolId>(buffer.data() + (sym_begin - offset));
-      if (s >= alphabet_count) {
-        ::close(fd);
-        return Corrupt(
-            path, StringPrintf("symbol id %u at byte %llu outside the "
-                               "alphabet (%u symbols)",
-                               s, static_cast<unsigned long long>(sym_begin),
-                               alphabet_count));
-      }
+    const uint64_t sym_begin =
+        std::min(std::max<uint64_t>(offset, kSeqDbDataHeaderBytes), chunk_end);
+    const char* const symbols = buffer.data() + (sym_begin - offset);
+    const size_t num_symbols = (chunk_end - sym_begin) / sizeof(SymbolId);
+    const size_t bad = FirstSymbolAtLeast(symbols, num_symbols, alphabet_count);
+    if (bad < num_symbols) {
+      ::close(fd);
+      return Corrupt(
+          path, StringPrintf("symbol id %u at byte %llu outside the "
+                             "alphabet (%u symbols)",
+                             ReadPod<SymbolId>(symbols + bad * sizeof(SymbolId)),
+                             static_cast<unsigned long long>(
+                                 sym_begin + bad * sizeof(SymbolId)),
+                             alphabet_count));
     }
     offset = chunk_end;
   }

@@ -88,6 +88,21 @@ bool ParseUint64(std::string_view text, uint64_t* out) {
   return true;
 }
 
+bool ParseInt32(std::string_view text, int32_t* out) {
+  const bool negative = !text.empty() && text.front() == '-';
+  uint64_t magnitude = 0;
+  if (!ParseUint64(negative ? text.substr(1) : text, &magnitude)) {
+    return false;
+  }
+  // |INT32_MIN| = INT32_MAX + 1.
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()) + negative;
+  if (magnitude > limit) return false;
+  *out = negative ? static_cast<int32_t>(-static_cast<int64_t>(magnitude))
+                  : static_cast<int32_t>(magnitude);
+  return true;
+}
+
 bool ParseDouble(std::string_view text, double* out) {
   if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
     return false;

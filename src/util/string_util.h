@@ -37,6 +37,9 @@ bool ParseFlag(std::string_view arg, std::string_view name,
 /// ParseUint64 takes decimal digits only — no sign — and rejects values
 /// past UINT64_MAX.
 bool ParseUint64(std::string_view text, uint64_t* out);
+/// ParseInt32 takes decimal digits with an optional leading '-' and rejects
+/// values outside the int32_t range.
+bool ParseInt32(std::string_view text, int32_t* out);
 /// ParseDouble takes strtod syntax and rejects inf, nan and overflow.
 bool ParseDouble(std::string_view text, double* out);
 

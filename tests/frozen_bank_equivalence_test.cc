@@ -203,13 +203,15 @@ TEST(FrozenBankEquivalenceTest, IncrementalAssembleReusesUntouchedRows) {
   EXPECT_EQ(stats.models_reused, 5u);
 
   // Replacing the *first* model with a differently-sized one shifts every
-  // later base offset: nothing can be reused.
+  // later base offset: nothing stays in place. Only the new model is
+  // packed; the others' rows move as they are.
   PstOptions shallow = options;
   shallow.max_depth = 1;
   models.front() = TrainModel(alphabet, shallow, background, 450, &rng);
   ASSERT_NE(models.front()->num_states(), bank.model(0).num_states());
   stats = bank.Assemble(models);
   EXPECT_EQ(stats.models_written, models.size());
+  EXPECT_EQ(stats.models_moved, models.size() - 1);
   EXPECT_EQ(stats.models_reused, 0u);
   // Regardless of offsets, the scan must still match serial scoring.
   ExpectScanMatchesSerial(models, RandomText(100, alphabet, &rng));

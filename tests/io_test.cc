@@ -1,6 +1,8 @@
 #include "seq/io.h"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,23 @@ TEST(FastaTest, DataBeforeHeaderIsCorruption) {
   std::istringstream in("ABCD\n>s1\nAB\n");
   SequenceDatabase db;
   EXPECT_TRUE(ReadFasta(in, &db).IsCorruption());
+}
+
+TEST(FastaTest, MalformedLabelIsCorruption) {
+  for (const char* label : {"x", "3x", "99999999999", "-2", ""}) {
+    std::istringstream in(std::string(">a label=0\nabab\n>b label=") +
+                          label + "\nabab\n");
+    SequenceDatabase db;
+    const Status st = ReadFasta(in, &db);
+    ASSERT_TRUE(st.IsCorruption()) << label;
+    EXPECT_NE(st.message().find("FASTA line 3"), std::string::npos)
+        << st.message();
+  }
+  std::istringstream in(">a label=-1\nabab\n>b label=7\nabab\n");
+  SequenceDatabase db;
+  ASSERT_TRUE(ReadFasta(in, &db).ok());
+  EXPECT_EQ(db[0].label(), kNoLabel);
+  EXPECT_EQ(db[1].label(), 7);
 }
 
 TEST(FastaTest, RoundTrip) {
@@ -92,6 +111,44 @@ TEST(TsvTest, WrongFieldCountIsCorruption) {
   std::istringstream in("only_two\tfields\n");
   SequenceDatabase db;
   EXPECT_TRUE(ReadTsv(in, &db).IsCorruption());
+}
+
+TEST(TsvTest, NonIntegerOrOutOfRangeLabelIsCorruption) {
+  // Below -1 is out of range too: the evaluator indexes per-class tables
+  // by every label other than kNoLabel.
+  for (const char* label : {"x", "3x", "99999999999", "-2", "-100000000"}) {
+    std::istringstream in(std::string("a\t0\tabab\nb\t") + label +
+                          "\tabab\n");
+    SequenceDatabase db;
+    const Status st = ReadTsv(in, &db);
+    ASSERT_TRUE(st.IsCorruption()) << label;
+    EXPECT_NE(st.message().find("TSV line 2"), std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(TsvTest, NegativeOneLabelReadsAsNoLabel) {
+  std::istringstream in("a\t-1\tabab\n");
+  SequenceDatabase db;
+  ASSERT_TRUE(ReadTsv(in, &db).ok());
+  ASSERT_EQ(db.size(), 1u);
+  EXPECT_EQ(db[0].label(), kNoLabel);
+}
+
+TEST(TsvTest, WrittenLabelsRoundTrip) {
+  SequenceDatabase db;
+  ASSERT_TRUE(db.AddText("abab", "a", 0).ok());
+  ASSERT_TRUE(db.AddText("baba", "b", kNoLabel).ok());
+  ASSERT_TRUE(db.AddText("abba", "c", INT32_MAX).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(WriteTsv(db, out).ok());
+  std::istringstream in(out.str());
+  SequenceDatabase db2;
+  ASSERT_TRUE(ReadTsv(in, &db2).ok());
+  ASSERT_EQ(db2.size(), 3u);
+  EXPECT_EQ(db2[0].label(), 0);
+  EXPECT_EQ(db2[1].label(), kNoLabel);
+  EXPECT_EQ(db2[2].label(), INT32_MAX);
 }
 
 TEST(TsvTest, RoundTrip) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -319,6 +320,44 @@ TEST(PersistenceCorruptionTest, FbankHostileEntriesWithFixedCrcs) {
     FixupFbankCrcs(&blob);
     EXPECT_TRUE(TryLoadBank(blob).IsCorruption()) << "shuffled sections";
   }
+}
+
+TEST(PersistenceCorruptionTest, FbankTransitionBreakingOwnershipIsRejected) {
+  // Every non-root state of a frozen PST is reached on one symbol only (its
+  // label's last). Retargeting one transition at a state another symbol
+  // owns keeps every offset in range and row-aligned, so only the
+  // ownership check can catch it.
+  const FrozenBank& bank = Fix().bank;
+  const std::string& clean = Fix().fbank_blob;
+  const size_t entries = FbankSectionOffset(clean, 2);
+  const size_t a = bank.alphabet_size();
+  const std::span<const FrozenBank::Entry> rows = bank.Rows(0);
+  const size_t states = bank.model_states(0);
+  std::vector<size_t> owner(states, a);
+  for (size_t e = 0; e < rows.size(); ++e) {
+    const size_t target = rows[e].next / a;
+    if (target != 0) owner[target] = e % a;
+  }
+  size_t victim = rows.size();
+  size_t stolen = 0;
+  for (size_t e = 0; e < rows.size() && victim == rows.size(); ++e) {
+    if (rows[e].next == 0) continue;
+    for (size_t w = 1; w < states; ++w) {
+      if (owner[w] < a && owner[w] != e % a) {
+        victim = e;
+        stolen = w;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(victim, rows.size());
+  std::string blob = clean;
+  Poke<uint32_t>(&blob, entries + victim * sizeof(FrozenBank::Entry) + 8,
+                 static_cast<uint32_t>(stolen * a));
+  FixupFbankCrcs(&blob);
+  const Status st = TryLoadBank(blob);
+  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(st.message(), ".fbank entry transition breaks symbol ownership");
 }
 
 // The load hashes each byte once: the entries section's CRC feeds both the

@@ -111,6 +111,10 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
               static_cast<double>(expect.pst_pruned_total));
     EXPECT_DOUBLE_EQ(stats->Find("seed_seconds")->number,
                      expect.seed_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("freeze_seconds")->number,
+                     expect.freeze_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("assemble_seconds")->number,
+                     expect.assemble_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("join_seconds")->number,
                      expect.join_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("consolidate_seconds")->number,
@@ -166,6 +170,31 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
   } else {
     EXPECT_EQ(perf_summary->Find("cycles"), nullptr);
   }
+}
+
+TEST(RunReportTest, CompilePhasesNestInSeedAndScan) {
+  // Freeze and assembly run at the head of the seed phase and of the scan,
+  // so their per-iteration times are nonnegative, sum to at most those two
+  // phases, and are nonzero whenever a cluster was (re)compiled.
+  SequenceDatabase db = SmallDb();
+  CluseqClusterer clusterer(db, SmallOptions());
+  ClusteringResult result;
+  ASSERT_TRUE(clusterer.Run(&result).ok());
+  size_t refrozen = 0;
+  double freeze = 0.0, assemble = 0.0;
+  for (const IterationStats& s : result.iteration_stats) {
+    EXPECT_GE(s.freeze_seconds, 0.0) << "iteration " << s.iteration;
+    EXPECT_GE(s.assemble_seconds, 0.0) << "iteration " << s.iteration;
+    EXPECT_LE(s.freeze_seconds + s.assemble_seconds,
+              s.seed_seconds + s.scan_seconds)
+        << "iteration " << s.iteration;
+    refrozen += s.refrozen_clusters;
+    freeze += s.freeze_seconds;
+    assemble += s.assemble_seconds;
+  }
+  ASSERT_GT(refrozen, 0u);
+  EXPECT_GT(freeze, 0.0);
+  EXPECT_GT(assemble, 0.0);
 }
 
 TEST(RunReportTest, PerfSummaryAggregatesHandBuiltPhases) {

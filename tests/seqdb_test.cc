@@ -21,6 +21,7 @@
 #include "seq/seqdb_writer.h"
 #include "seq/sequence_database.h"
 #include "synth/dataset.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace cluseq {
@@ -319,6 +320,32 @@ TEST(SeqDbCorruptionTest, EverySingleBitFlipInTheDataIsRejected) {
           << st.ToString();
     }
   }
+}
+
+TEST(SeqDbCorruptionTest, OutOfAlphabetSymbolWithFixedCrcsIsNamed) {
+  // With both CRCs recomputed, only the symbol range check stands between
+  // a symbol id past the alphabet and the scorer's table lookups. It must
+  // name the first offender and its byte offset.
+  CorruptionFixture fix;
+  const auto poke = [](std::string* blob, size_t at, uint32_t value) {
+    std::memcpy(blob->data() + at, &value, sizeof(value));
+  };
+  // The fixture's alphabet is {a, b, c}; payload symbols start at byte 24.
+  std::string data = fix.data_blob;
+  poke(&data, 24 + 3 * sizeof(SymbolId), 7);
+  poke(&data, 24 + 5 * sizeof(SymbolId), 9);
+  std::string index = fix.index_blob;
+  poke(&index, 32, Crc32c(data));
+  poke(&index, index.size() - sizeof(uint32_t),
+       Crc32c(index.data(), index.size() - sizeof(uint32_t)));
+  WriteAll(fix.data_path, data);
+  WriteAll(fix.index_path, index);
+  const Status st = fix.TryOpen();
+  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find(
+                "symbol id 7 at byte 36 outside the alphabet (3 symbols)"),
+            std::string::npos)
+      << st.message();
 }
 
 TEST(SeqDbCorruptionTest, MismatchedDataAndIndexPairIsRejected) {

@@ -78,6 +78,27 @@ TEST(ParseUint64Test, RejectsSignsTrailingTextAndOverflow) {
   }
 }
 
+TEST(ParseInt32Test, AcceptsSignedWholeNumbersInRange) {
+  int32_t v = 0;
+  EXPECT_TRUE(ParseInt32("0", &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt32("-1", &v));
+  EXPECT_EQ(v, -1);
+  EXPECT_TRUE(ParseInt32("2147483647", &v));
+  EXPECT_EQ(v, INT32_MAX);
+  EXPECT_TRUE(ParseInt32("-2147483648", &v));
+  EXPECT_EQ(v, INT32_MIN);
+}
+
+TEST(ParseInt32Test, RejectsTrailingTextAndOutOfRange) {
+  int32_t v = 7;
+  for (const char* bad : {"", "-", "+5", "--1", "x", "3x", " 3", "3 ", "1.5",
+                          "2147483648", "-2147483649", "99999999999"}) {
+    EXPECT_FALSE(ParseInt32(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7) << "'" << bad << "' must leave the output untouched";
+  }
+}
+
 TEST(ParseDoubleTest, AcceptsWholeFiniteNumbers) {
   double v = 0.0;
   EXPECT_TRUE(ParseDouble("0.5", &v));
