@@ -151,9 +151,9 @@ void ScanBlockScalar(const FrozenBank::Entry* entries, const uint32_t* bases,
   }
 }
 
-void KadaneColumnsScalar(const uint8_t* const* cols, size_t len, size_t n,
-                         int32_t* z) {
-  for (size_t m = 0; m < n; ++m) {
+void KadaneColumnsScalar(const uint8_t* const* cols, size_t len,
+                         size_t first, size_t n, int32_t* z) {
+  for (size_t m = first; m < n; ++m) {
     int32_t x = static_cast<int32_t>(cols[0][m]) -
                 FrozenBank::kSignatureZeroPoint;
     int32_t y = x;
@@ -175,23 +175,12 @@ void FrozenBank::SignatureKadaneDense(const uint8_t* const* cols, size_t len,
   const size_t k = num_models();
   if (k == 0 || len == 0) return;
 #ifdef CLUSEQ_HAVE_AVX2
-  if (!force_scalar_ && SimdAvailable()) {
-    // Cache-resident transposed tables make the dense pass store-bound,
-    // where the register-resident striped kernel wins; tables past this
-    // size pay memory bandwidth per scan and want the position-outer
-    // kernel's sequential column streaming instead. Both compute the
-    // same exact integer recurrence.
-    constexpr size_t kStripedKadaneMaxTableBytes = size_t{4} << 20;
-    const size_t table_bytes = sig_maxsymt_q_.size() + sig_capt_q_.size();
-    if (table_bytes <= kStripedKadaneMaxTableBytes) {
-      internal::KadaneColumnsAvx2Striped(cols, len, k, z);
-    } else {
-      internal::KadaneColumnsAvx2(cols, len, k, z);
-    }
+  if (UseSimd()) {
+    internal::KadaneColumnsAvx2(cols, len, k, z);
     return;
   }
 #endif
-  internal::KadaneColumnsScalar(cols, len, k, z);
+  internal::KadaneColumnsScalar(cols, len, 0, k, z);
 }
 
 bool FrozenBank::SimdAvailable() {
@@ -717,44 +706,15 @@ size_t FrozenBank::BlockModels() const {
 
 void FrozenBank::ScanAll(std::span<const SymbolId> symbols,
                          SimilarityResult* results) const {
-  const size_t k = num_models();
-  if (symbols.empty()) {
-    for (size_t m = 0; m < k; ++m) {
-      results[m] = SimilarityResult{};
-      results[m].log_sim = -std::numeric_limits<double>::infinity();
-    }
-    return;
+  // Whole-bank scans count their kernel; candidate scans do not.
+  if (!symbols.empty()) {
+    static obs::Counter& scans_simd =
+        obs::MetricsRegistry::Get().GetCounter("frozen_bank.scans_simd");
+    static obs::Counter& scans_scalar =
+        obs::MetricsRegistry::Get().GetCounter("frozen_bank.scans_scalar");
+    (UseSimd() ? scans_simd : scans_scalar).Increment();
   }
-#ifdef CLUSEQ_HAVE_AVX2
-  const bool use_simd = !force_scalar_ && SimdAvailable();
-#else
-  const bool use_simd = false;
-#endif
-  // One shard-striped fetch_add per ScanAll call — amortized over len × k
-  // scored symbols, so the hot inner loops stay untouched.
-  static obs::Counter& scan_symbols =
-      obs::MetricsRegistry::Get().GetCounter("frozen_bank.scan_symbols");
-  static obs::Counter& scans_simd =
-      obs::MetricsRegistry::Get().GetCounter("frozen_bank.scans_simd");
-  static obs::Counter& scans_scalar =
-      obs::MetricsRegistry::Get().GetCounter("frozen_bank.scans_scalar");
-  scan_symbols.Add(symbols.size() * k);
-  (use_simd ? scans_simd : scans_scalar).Increment();
-  const size_t block = BlockModels();
-  for (size_t m0 = 0; m0 < k; m0 += block) {
-    const size_t mb = std::min(block, k - m0);
-#ifdef CLUSEQ_HAVE_AVX2
-    if (use_simd) {
-      internal::ScanBlockAvx2(scan_data(), base32_.data() + m0, mb,
-                              symbols.data(), symbols.size(), results + m0);
-      continue;
-    }
-#else
-    (void)use_simd;
-#endif
-    internal::ScanBlockScalar(scan_data(), base32_.data() + m0, mb,
-                              symbols.data(), symbols.size(), results + m0);
-  }
+  ScanBases(symbols, base32_.data(), num_models(), results);
 }
 
 void FrozenBank::ScanCandidates(std::span<const SymbolId> symbols,
@@ -762,42 +722,38 @@ void FrozenBank::ScanCandidates(std::span<const SymbolId> symbols,
                                 SimilarityResult* results) const {
   const size_t k = candidates.size();
   if (k == 0) return;
-  if (symbols.empty()) {
-    for (size_t j = 0; j < k; ++j) {
-      results[j] = SimilarityResult{};
-      results[j].log_sim = -std::numeric_limits<double>::infinity();
-    }
-    return;
-  }
-#ifdef CLUSEQ_HAVE_AVX2
-  const bool use_simd = !force_scalar_ && SimdAvailable();
-#else
-  const bool use_simd = false;
-#endif
   // The candidates' bases compacted into the dense array the block kernels
   // expect; thread_local because ScanCandidates runs concurrently on pool
   // workers.
   static thread_local std::vector<uint32_t> bases;
   bases.resize(k);
   for (size_t j = 0; j < k; ++j) bases[j] = base32_[candidates[j]];
+  ScanBases(symbols, bases.data(), k, results);
+}
 
+void FrozenBank::ScanBases(std::span<const SymbolId> symbols,
+                           const uint32_t* bases, size_t n,
+                           SimilarityResult* results) const {
+  if (symbols.empty()) {
+    for (size_t j = 0; j < n; ++j) {
+      results[j] = SimilarityResult{};
+      results[j].log_sim = -std::numeric_limits<double>::infinity();
+    }
+    return;
+  }
+  // One shard-striped fetch_add per call — amortized over len × n scored
+  // symbols, so the hot inner loops stay untouched.
   static obs::Counter& scan_symbols =
       obs::MetricsRegistry::Get().GetCounter("frozen_bank.scan_symbols");
-  scan_symbols.Add(symbols.size() * k);
-  const size_t block = BlockModels();
-  for (size_t m0 = 0; m0 < k; m0 += block) {
-    const size_t mb = std::min(block, k - m0);
+  scan_symbols.Add(symbols.size() * n);
+  auto* kernel = internal::ScanBlockScalar;
 #ifdef CLUSEQ_HAVE_AVX2
-    if (use_simd) {
-      internal::ScanBlockAvx2(scan_data(), bases.data() + m0, mb,
-                              symbols.data(), symbols.size(), results + m0);
-      continue;
-    }
-#else
-    (void)use_simd;
+  if (UseSimd()) kernel = internal::ScanBlockAvx2;
 #endif
-    internal::ScanBlockScalar(scan_data(), bases.data() + m0, mb,
-                              symbols.data(), symbols.size(), results + m0);
+  const size_t block = BlockModels();
+  for (size_t m0 = 0; m0 < n; m0 += block) {
+    kernel(scan_data(), bases + m0, std::min(block, n - m0), symbols.data(),
+           symbols.size(), results + m0);
   }
 }
 

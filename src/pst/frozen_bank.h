@@ -362,6 +362,14 @@ class FrozenBank {
   /// (ratio, next) row pair per model between reuses, so the block size is
   /// chosen to keep a block's hot rows L2-resident.
   size_t BlockModels() const;
+  /// The AVX2 kernels are compiled in, supported, and not forced off.
+  bool UseSimd() const { return !force_scalar_ && SimdAvailable(); }
+  /// Block driver behind ScanAll and ScanCandidates: scores `symbols`
+  /// against the n models whose arena entry offsets are `bases`, writing
+  /// results[0..n), block by block on the dispatched kernel. An empty
+  /// sequence scores −inf everywhere without touching the arena.
+  void ScanBases(std::span<const SymbolId> symbols, const uint32_t* bases,
+                 size_t n, SimilarityResult* results) const;
 
   /// Bytes the signature tables of `order` would occupy for a k-model bank:
   /// Deepest tier whose tables fit signature_budget_bytes_ (per
@@ -435,12 +443,12 @@ void ScanBlockScalar(const FrozenBank::Entry* entries, const uint32_t* bases,
                      size_t num_models, const SymbolId* symbols, size_t len,
                      SimilarityResult* out);
 
-/// Dense signed Kadane over offset-u8 columns: for m < n,
+/// Dense signed Kadane over offset-u8 columns: for first ≤ m < n,
 /// z[m] = max over nonempty windows of Σ (cols[i][m] − 64) — the
-/// prefilter's level-1 bound sweep. Pure integer arithmetic, so every
-/// kernel variant is exactly equivalent.
-void KadaneColumnsScalar(const uint8_t* const* cols, size_t len, size_t n,
-                         int32_t* z);
+/// prefilter's level-1 bound sweep and the oracle for the AVX2 kernel.
+/// Pure integer arithmetic, so both kernels are exactly equivalent.
+void KadaneColumnsScalar(const uint8_t* const* cols, size_t len,
+                         size_t first, size_t n, int32_t* z);
 
 #ifdef CLUSEQ_HAVE_AVX2
 /// AVX2 kernel: same contract and bit-identical results, 4 models per
@@ -450,25 +458,14 @@ void ScanBlockAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
                    size_t num_models, const SymbolId* symbols, size_t len,
                    SimilarityResult* out);
 
-/// AVX2 KadaneColumnsScalar: 16 int16 lanes per step while len·191 fits
-/// int16 (len ≤ 171), 8 int32 lanes beyond; identical results (exact
-/// integer arithmetic in both widths, remainder models fall through to
-/// the scalar loop). Position-outer loop order — streams each column
-/// sequentially and keeps per-model state in thread-local buffers; the
-/// right shape when the transposed tables exceed cache and every scan
-/// pays their memory bandwidth.
+/// AVX2 KadaneColumnsScalar over all n models, identical results:
+/// stripe-outer, with the Kadane state held in registers. Each pass walks
+/// every position for four 16-model int16 stripes (one cache line of each
+/// column) while len·191 fits int16 (len ≤ 171), four 8-model int32
+/// stripes beyond; leftover models run single stripes, then the scalar
+/// loop.
 void KadaneColumnsAvx2(const uint8_t* const* cols, size_t len, size_t n,
                        int32_t* z);
-
-/// Stripe-outer sibling of KadaneColumnsAvx2 (identical results): two
-/// interleaved model stripes walk all positions with the Kadane state
-/// held entirely in registers, eliminating the position-outer kernel's
-/// per-position state stores. Wins when the transposed tables are
-/// cache-resident (store throughput, not memory bandwidth, is then the
-/// bottleneck); loses prefetch-friendliness on spilling tables, so
-/// SignatureKadaneDense dispatches on table size.
-void KadaneColumnsAvx2Striped(const uint8_t* const* cols, size_t len,
-                              size_t n, int32_t* z);
 #endif  // CLUSEQ_HAVE_AVX2
 
 }  // namespace internal

@@ -1,9 +1,10 @@
-// AVX2 ScanAll kernel: 4 models per vector register group, several groups
-// advanced in lockstep per symbol.
+// AVX2 kernels: the §4.3 block scan (4 models per vector register group,
+// several groups advanced in lockstep per symbol) and the prefilter's
+// dense level-1 Kadane (at the end of the file).
 //
 // This TU is compiled with -mavx2 and only referenced behind the runtime
-// __builtin_cpu_supports("avx2") dispatch in FrozenBank::ScanAll, so the
-// rest of the library keeps the portable baseline ISA.
+// __builtin_cpu_supports("avx2") dispatch in FrozenBank, so the rest of
+// the library keeps the portable baseline ISA.
 //
 // The per-quad DP is a dependent chain — the gathered transition names the
 // next row, so each symbol costs a full gather latency before the next one
@@ -38,7 +39,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace cluseq {
 namespace internal {
@@ -176,211 +176,92 @@ void ScanBlockAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
   }
 }
 
-void KadaneColumnsAvx2(const uint8_t* const* cols, size_t len, size_t n,
-                       int32_t* z) {
-  // Loop order is position-outer: each position's k-wide column is the
-  // only compulsory per-scan traffic, and walking it sequentially keeps
-  // the hardware prefetcher fed, while the per-model Kadane state (y =
-  // best suffix sum, b = best window sum) lives in small reused buffers
-  // that stay L1-resident. The transposed order — each model stripe
-  // walking all positions — touches ~len scattered cache lines per
-  // stripe across the whole table and stalls on DRAM latency instead.
-  //
-  // int16 state lanes are exact while the largest possible running sum
-  // len · kSignaturePosLevels stays under 2^15 (the negative side cannot
-  // underflow: the recurrence keeps y ≥ x ≥ −64). Longer sequences run
-  // the int32 variant — same recurrence, same results.
-  constexpr size_t kI16MaxLen =
-      32767 / static_cast<size_t>(FrozenBank::kSignaturePosLevels);  // 171
-  static thread_local std::vector<int16_t> y16, b16;
-  static thread_local std::vector<int32_t> y32;
-  size_t m = 0;
-  if (len <= kI16MaxLen) {
-    if (y16.size() < n) {
-      y16.resize(n);
-      b16.resize(n);
-    }
-    int16_t* y = y16.data();
-    int16_t* b = b16.data();
-    const __m256i zp = _mm256_set1_epi16(FrozenBank::kSignatureZeroPoint);
-    for (; m + 16 <= n; m += 16) {
-      const __m256i x = _mm256_sub_epi16(
-          _mm256_cvtepu8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(cols[0] + m))),
-          zp);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + m), x);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + m), x);
-    }
-    const size_t mv = m;
-    for (size_t i = 1; i < len; ++i) {
-      const uint8_t* col = cols[i];
-      for (size_t j = 0; j < mv; j += 16) {
-        const __m256i x = _mm256_sub_epi16(
-            _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(col + j))),
-            zp);
-        __m256i yj =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        yj = _mm256_max_epi16(_mm256_add_epi16(yj, x), x);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), yj);
-        const __m256i bj = _mm256_max_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j)), yj);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + j), bj);
-      }
-    }
-    for (size_t j = 0; j < mv; j += 16) {
-      const __m256i bj =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + j),
-          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(bj)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + j + 8),
-          _mm256_cvtepi16_epi32(_mm256_extracti128_si256(bj, 1)));
-    }
+namespace {
+
+/// Offset-u8 cap bytes at p widened to signed Kadane terms: 16 int16
+/// lanes, or 8 int32 lanes.
+template <bool kI16>
+inline __m256i KadaneTerms(const uint8_t* p) {
+  if constexpr (kI16) {
+    return _mm256_sub_epi16(
+        _mm256_cvtepu8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+        _mm256_set1_epi16(FrozenBank::kSignatureZeroPoint));
   } else {
-    if (y32.size() < n) y32.resize(n);
-    int32_t* y = y32.data();  // b is the z output array itself here.
-    const __m256i zp = _mm256_set1_epi32(FrozenBank::kSignatureZeroPoint);
-    for (; m + 8 <= n; m += 8) {
-      const __m256i x = _mm256_sub_epi32(
-          _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-              reinterpret_cast<const __m128i*>(cols[0] + m))),
-          zp);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + m), x);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + m), x);
-    }
-    const size_t mv = m;
-    for (size_t i = 1; i < len; ++i) {
-      const uint8_t* col = cols[i];
-      for (size_t j = 0; j < mv; j += 8) {
-        const __m256i x = _mm256_sub_epi32(
-            _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(col + j))),
-            zp);
-        __m256i yj =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        yj = _mm256_max_epi32(_mm256_add_epi32(yj, x), x);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), yj);
-        const __m256i bj = _mm256_max_epi32(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(z + j)), yj);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + j), bj);
-      }
-    }
-  }
-  for (; m < n; ++m) {
-    int32_t x = static_cast<int32_t>(cols[0][m]) -
-                FrozenBank::kSignatureZeroPoint;
-    int32_t y = x;
-    int32_t best = x;
-    for (size_t i = 1; i < len; ++i) {
-      x = static_cast<int32_t>(cols[i][m]) - FrozenBank::kSignatureZeroPoint;
-      const int32_t extend = y + x;
-      y = extend < x ? x : extend;
-      if (y > best) best = y;
-    }
-    z[m] = best;
+    return _mm256_sub_epi32(
+        _mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))),
+        _mm256_set1_epi32(FrozenBank::kSignatureZeroPoint));
   }
 }
 
-void KadaneColumnsAvx2Striped(const uint8_t* const* cols, size_t len,
-                              size_t n, int32_t* z) {
-  // Stripe-outer: a pair of model stripes walks every position with y and
-  // b pinned in registers — zero state traffic, so the cost per position
-  // is the y-recurrence dependency chain (add + max), overlapped across
-  // the two independent stripes. Only dispatched when the transposed
-  // tables fit in cache (see SignatureKadaneDense): the strided column
-  // reads then stay cache hits, and the position-outer kernel's
-  // per-position state stores would be the bottleneck instead.
+/// kStripes adjacent stripes of kLanes models, m onward, walk every
+/// position with their Kadane state (y = best suffix sum, b = best window
+/// sum) held in registers.
+template <int kStripes, bool kI16>
+void KadaneStripes(const uint8_t* const* cols, size_t len, size_t m,
+                   int32_t* z) {
+  constexpr int kLanes = kI16 ? 16 : 8;
+  __m256i y[kStripes];
+  __m256i b[kStripes];
+  for (int s = 0; s < kStripes; ++s) {
+    y[s] = KadaneTerms<kI16>(cols[0] + m + s * kLanes);
+    b[s] = y[s];
+  }
+  for (size_t i = 1; i < len; ++i) {
+    const uint8_t* col = cols[i] + m;
+    for (int s = 0; s < kStripes; ++s) {
+      const __m256i x = KadaneTerms<kI16>(col + s * kLanes);
+      if constexpr (kI16) {
+        y[s] = _mm256_max_epi16(_mm256_add_epi16(y[s], x), x);
+        b[s] = _mm256_max_epi16(b[s], y[s]);
+      } else {
+        y[s] = _mm256_max_epi32(_mm256_add_epi32(y[s], x), x);
+        b[s] = _mm256_max_epi32(b[s], y[s]);
+      }
+    }
+  }
+  for (int s = 0; s < kStripes; ++s) {
+    int32_t* out = z + m + s * kLanes;
+    if constexpr (kI16) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(b[s])));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + 8),
+          _mm256_cvtepi16_epi32(_mm256_extracti128_si256(b[s], 1)));
+    } else {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), b[s]);
+    }
+  }
+}
+
+}  // namespace
+
+void KadaneColumnsAvx2(const uint8_t* const* cols, size_t len, size_t n,
+                       int32_t* z) {
+  // Stripe-outer: a group of model stripes walks every position with its
+  // state pinned in registers — zero state traffic, so the cost per
+  // position is the y-recurrence dependency chain (add + max), overlapped
+  // across the group's independent stripes. A 64-model int16 group reads
+  // one whole cache line of each column per pass. This shape serves every
+  // table size (DESIGN.md §14 records the ablation against a
+  // position-outer loop).
+  //
+  // int16 lanes are exact while the largest possible running sum
+  // len · kSignaturePosLevels stays under 2^15 (the negative side cannot
+  // underflow: the recurrence keeps y ≥ x ≥ −64). Longer sequences run
+  // the int32 lanes — same recurrence, same results.
   constexpr size_t kI16MaxLen =
       32767 / static_cast<size_t>(FrozenBank::kSignaturePosLevels);  // 171
   size_t m = 0;
   if (len <= kI16MaxLen) {
-    const __m256i zp = _mm256_set1_epi16(FrozenBank::kSignatureZeroPoint);
-    for (; m + 32 <= n; m += 32) {
-      __m256i y0 = _mm256_sub_epi16(
-          _mm256_cvtepu8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(cols[0] + m))),
-          zp);
-      __m256i y1 = _mm256_sub_epi16(
-          _mm256_cvtepu8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(cols[0] + m + 16))),
-          zp);
-      __m256i b0 = y0;
-      __m256i b1 = y1;
-      for (size_t i = 1; i < len; ++i) {
-        const uint8_t* col = cols[i] + m;
-        const __m256i x0 = _mm256_sub_epi16(
-            _mm256_cvtepu8_epi16(
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(col))),
-            zp);
-        const __m256i x1 = _mm256_sub_epi16(
-            _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(col + 16))),
-            zp);
-        y0 = _mm256_max_epi16(_mm256_add_epi16(y0, x0), x0);
-        y1 = _mm256_max_epi16(_mm256_add_epi16(y1, x1), x1);
-        b0 = _mm256_max_epi16(b0, y0);
-        b1 = _mm256_max_epi16(b1, y1);
-      }
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + m),
-          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(b0)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + m + 8),
-          _mm256_cvtepi16_epi32(_mm256_extracti128_si256(b0, 1)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + m + 16),
-          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(b1)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(z + m + 24),
-          _mm256_cvtepi16_epi32(_mm256_extracti128_si256(b1, 1)));
-    }
+    for (; m + 64 <= n; m += 64) KadaneStripes<4, true>(cols, len, m, z);
+    for (; m + 16 <= n; m += 16) KadaneStripes<1, true>(cols, len, m, z);
   } else {
-    const __m256i zp = _mm256_set1_epi32(FrozenBank::kSignatureZeroPoint);
-    for (; m + 16 <= n; m += 16) {
-      __m256i y0 = _mm256_sub_epi32(
-          _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-              reinterpret_cast<const __m128i*>(cols[0] + m))),
-          zp);
-      __m256i y1 = _mm256_sub_epi32(
-          _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-              reinterpret_cast<const __m128i*>(cols[0] + m + 8))),
-          zp);
-      __m256i b0 = y0;
-      __m256i b1 = y1;
-      for (size_t i = 1; i < len; ++i) {
-        const uint8_t* col = cols[i] + m;
-        const __m256i x0 = _mm256_sub_epi32(
-            _mm256_cvtepu8_epi32(
-                _mm_loadl_epi64(reinterpret_cast<const __m128i*>(col))),
-            zp);
-        const __m256i x1 = _mm256_sub_epi32(
-            _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(col + 8))),
-            zp);
-        y0 = _mm256_max_epi32(_mm256_add_epi32(y0, x0), x0);
-        y1 = _mm256_max_epi32(_mm256_add_epi32(y1, x1), x1);
-        b0 = _mm256_max_epi32(b0, y0);
-        b1 = _mm256_max_epi32(b1, y1);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + m), b0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + m + 8), b1);
-    }
+    for (; m + 32 <= n; m += 32) KadaneStripes<4, false>(cols, len, m, z);
+    for (; m + 8 <= n; m += 8) KadaneStripes<1, false>(cols, len, m, z);
   }
-  for (; m < n; ++m) {
-    int32_t x = static_cast<int32_t>(cols[0][m]) -
-                FrozenBank::kSignatureZeroPoint;
-    int32_t y = x;
-    int32_t best = x;
-    for (size_t i = 1; i < len; ++i) {
-      x = static_cast<int32_t>(cols[i][m]) - FrozenBank::kSignatureZeroPoint;
-      const int32_t extend = y + x;
-      y = extend < x ? x : extend;
-      if (y > best) best = y;
-    }
-    z[m] = best;
-  }
+  KadaneColumnsScalar(cols, len, m, n, z);
 }
 
 }  // namespace internal

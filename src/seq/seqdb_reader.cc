@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -65,7 +66,11 @@ Status VerifyDataStreaming(const std::string& path, uint64_t expected_bytes,
   constexpr size_t kChunk = 1u << 20;
   static_assert(kChunk % sizeof(SymbolId) == 0);
   static_assert(kSeqDbDataHeaderBytes % sizeof(SymbolId) == 0);
-  std::string buffer(kChunk, '\0');
+  // Uninitialized and no larger than the file: read(2) overwrites every
+  // byte the loop looks at.
+  const size_t buffer_bytes =
+      static_cast<size_t>(std::min<uint64_t>(kChunk, expected_bytes));
+  const auto buffer = std::make_unique_for_overwrite<char[]>(buffer_bytes);
   uint32_t crc = 0;
   uint64_t offset = 0;
   while (offset < expected_bytes) {
@@ -75,7 +80,7 @@ Status VerifyDataStreaming(const std::string& path, uint64_t expected_bytes,
     const size_t want = static_cast<size_t>(
         std::min<uint64_t>(kChunk, expected_bytes - offset));
     while (filled < want) {
-      const ssize_t n = ::read(fd, buffer.data() + filled, want - filled);
+      const ssize_t n = ::read(fd, buffer.get() + filled, want - filled);
       if (n < 0) {
         if (errno == EINTR) continue;
         ::close(fd);
@@ -93,12 +98,12 @@ Status VerifyDataStreaming(const std::string& path, uint64_t expected_bytes,
                                static_cast<unsigned long long>(offset + filled),
                                static_cast<unsigned long long>(expected_bytes)));
     }
-    crc = Crc32cExtend(crc, buffer.data(), filled);
+    crc = Crc32cExtend(crc, buffer.get(), filled);
     // Range-check the payload symbols in this chunk.
     const uint64_t chunk_end = offset + filled;
     const uint64_t sym_begin =
         std::min(std::max<uint64_t>(offset, kSeqDbDataHeaderBytes), chunk_end);
-    const char* const symbols = buffer.data() + (sym_begin - offset);
+    const char* const symbols = buffer.get() + (sym_begin - offset);
     const size_t num_symbols = (chunk_end - sym_begin) / sizeof(SymbolId);
     const size_t bad = FirstSymbolAtLeast(symbols, num_symbols, alphabet_count);
     if (bad < num_symbols) {

@@ -348,6 +348,54 @@ TEST(SeqDbCorruptionTest, OutOfAlphabetSymbolWithFixedCrcsIsNamed) {
       << st.message();
 }
 
+TEST(SeqDbCorruptionTest, SymbolPastTheFirstVerifyChunkIsNamed) {
+  // The open-time verify streams the data file in 1 MiB chunks. A corpus
+  // whose data file spans two of them must load clean, and an offender on
+  // either side of the boundary must be named at its file byte offset.
+  TempDir dir;
+  const std::string path = dir.File("two_chunks.sqdb");
+  Rng rng(20261020);
+  SequenceDatabase db{Alphabet::Synthetic(5)};
+  for (size_t r = 0; r < 40; ++r) {
+    std::vector<SymbolId> symbols(8000);
+    for (auto& s : symbols) s = static_cast<SymbolId>(rng.Uniform(5));
+    db.Add(Sequence(std::move(symbols), "r" + std::to_string(r), 0));
+  }
+  ASSERT_TRUE(WriteSeqDb(db, path).ok());
+  const std::string index_path = SeqDbIndexPath(path);
+  const std::string data_blob = ReadAll(path);
+  const std::string index_blob = ReadAll(index_path);
+  constexpr size_t kChunk = size_t{1} << 20;
+  ASSERT_GT(data_blob.size(), kChunk + 64);
+  {
+    SeqDbReader reader;
+    ASSERT_TRUE(SeqDbReader::Open(path, &reader).ok());
+    ExpectStoresEqual(db, reader);
+  }
+
+  for (const size_t at : {kChunk - sizeof(SymbolId), kChunk, kChunk + 40}) {
+    std::string data = data_blob;
+    const uint32_t bad = 5;
+    std::memcpy(data.data() + at, &bad, sizeof(bad));
+    std::string index = index_blob;
+    const uint32_t data_crc = Crc32c(data);
+    std::memcpy(index.data() + 32, &data_crc, sizeof(data_crc));
+    const uint32_t index_crc =
+        Crc32c(index.data(), index.size() - sizeof(uint32_t));
+    std::memcpy(index.data() + index.size() - sizeof(uint32_t), &index_crc,
+                sizeof(index_crc));
+    WriteAll(path, data);
+    WriteAll(index_path, index);
+    SeqDbReader reader;
+    const Status st = SeqDbReader::Open(path, &reader);
+    ASSERT_TRUE(st.IsCorruption()) << at << ": " << st.ToString();
+    EXPECT_NE(st.message().find("symbol id 5 at byte " + std::to_string(at) +
+                                " outside the alphabet (5 symbols)"),
+              std::string::npos)
+        << st.message();
+  }
+}
+
 TEST(SeqDbCorruptionTest, MismatchedDataAndIndexPairIsRejected) {
   // The index carries the data file's CRC, so pairing it with another
   // complete, self-consistent data file (the stale-data crash window, or a

@@ -414,9 +414,9 @@ int RunCluster(CommonFlags& flags) {
                  "cluseq: interrupted after %zu iterations; reporting the "
                  "last completed iteration boundary%s\n",
                  result.iterations,
-                 flags.options.checkpoint_dir.empty()
-                     ? ""
-                     : " (checkpoint saved; rerun with --resume)");
+                 clusterer.report()->checkpoint_enabled
+                     ? " (checkpoint saved; rerun with --resume)"
+                     : "");
   }
   std::printf("clusters: %zu   unclustered: %zu   iterations: %zu   "
               "final log t: %.3f\n",
@@ -757,14 +757,14 @@ void PrintUsage() {
                "           [--max_seconds=F] [--strict]\n"
                "           --checkpoint_dir enables crash-safe saves at "
                "iteration boundaries\n"
-               "           (every N iterations, default 1; 0 = only the "
-               "initial + final state);\n"
+               "           (every N iterations, default 1; 0 = no "
+               "checkpoints are written);\n"
                "           --resume continues from the newest loadable "
                "checkpoint, bit-for-bit;\n"
                "           SIGINT/SIGTERM or --max_seconds stop cleanly "
                "after the current phase\n"
-               "           and save state: exit 0 = done, 3 = interrupted "
-               "with state saved\n"
+               "           and save state when checkpointing: exit 0 = "
+               "done, 3 = interrupted\n"
                "           (--strict: treat a corrupt newest checkpoint as "
                "an error instead of\n"
                "           falling back to the previous one)\n"
